@@ -157,61 +157,58 @@ def psi_bar(psi: PsiFunction) -> PsiFunction:
 # infimal transform and metric entropy
 
 
-def _v_objective(psi: PsiFunction, x: float, y: np.ndarray) -> np.ndarray:
-    return x * y + np.log(psi(1.0 / y))
-
-
-def v_star(psi: PsiFunction, x: float) -> float:
+def v_star(psi: PsiFunction, x):
     """Infimal transform v*(x) = inf_{y in (0,1)} (x y + log psi(1/y)),
     with y ranging over the closure of the support image [1/p_max, 1/a].
-    Coarse log-grid scan followed by golden-section refinement."""
-    if x < 0:
+
+    Exact on the log-log tabulation: between knots p_k, log psi(1/y) =
+    L_k - s_k (log y + log p_k), so each piece of the objective is convex
+    with stationary point y = s_k / x when s_k > 0 and is minimized at a
+    knot otherwise.  The infimum is the least of the knot values and the
+    convex pieces' stationary points clipped to their piece.  Accepts an
+    array of x; a scalar x gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("x must be >= 0")
-    y_lo, y_hi = 1.0 / psi.p_max, 1.0 / psi.p[0]
-    ys = np.geomspace(y_lo, y_hi, 512)
-    obj = _v_objective(psi, x, ys)
-    i = int(np.argmin(obj))
-    a, b = ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc = float(_v_objective(psi, x, np.array([c]))[0])
-    fd = float(_v_objective(psi, x, np.array([d]))[0])
-    while b - a > 1e-10:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = float(_v_objective(psi, x, np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = float(_v_objective(psi, x, np.array([d]))[0])
-    return float(min(obj[i], fc, fd))
+    log_p, log_v = np.log(psi.p), np.log(psi.values)
+    s = np.diff(log_v) / np.diff(log_p)
+    k = np.flatnonzero(s > 0)
+    xs = x[..., None]
+    with np.errstate(divide="ignore"):  # x = 0: stationary point at infinity, clipped to the knot
+        y = np.clip(s[k] / xs, 1.0 / psi.p[k + 1], 1.0 / psi.p[k])
+    at_knots = np.min(xs / psi.p + log_v, axis=-1)
+    inside = xs * y + log_v[k] - s[k] * (np.log(y) + log_p[k])
+    out = np.minimum(at_knots, np.min(inside, axis=-1, initial=np.inf))
+    return float(out) if out.ndim == 0 else out
 
 
-def entropy_H(domain: DomainSpec, metric: Metric, eps: float) -> float:
+def entropy_H(domain: DomainSpec, metric: Metric, eps):
     """Metric entropy H = log N(T, d, eps) for the declared metric, via
     the exact per-axis box covering ceil(L / (2 r)) with r the Euclidean
-    radius of an eps-ball."""
-    if eps <= 0:
+    radius of an eps-ball.  Accepts an array of eps; a scalar eps gives a
+    float."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     if metric.kind == "custom-table":
         raise ValueError("entropy for custom-table metrics is not defined; declare holder/log-power")
+    if metric.kind == "holder" and metric.scale == 0.0:
+        return 0.0 if eps.ndim == 0 else np.zeros_like(eps)
     if metric.kind == "holder":
-        if metric.scale == 0.0:
-            return 0.0
         log_r = np.log(eps / metric.scale) / metric.exponent
     else:  # log-power: d = scale * min(|log r|^-gamma, 1)
-        if eps >= metric.scale:
-            return 0.0
         log_r = -((metric.scale / eps) ** (1.0 / metric.exponent))
     h = 0.0
     for length in domain.lengths:
         log_ratio = np.log(length / 2.0) - log_r
-        if log_ratio > 40.0:  # covering count astronomically large; ceil is irrelevant
-            h += float(log_ratio)
-        elif log_ratio > -700.0:
-            h += float(np.log(np.ceil(np.exp(log_ratio) - 1e-12))) if np.exp(log_ratio) > 1.0 else 0.0
-    return h
+        # above e^40 balls per axis the ceil is irrelevant; at or below one ball log 1 = 0
+        ratio = np.exp(np.minimum(log_ratio, 40.0))
+        h = h + np.where(log_ratio > 40.0, log_ratio,
+                         np.log(np.maximum(np.ceil(ratio - 1e-12), 1.0)))
+    if metric.kind == "log-power":
+        h = np.where(eps >= metric.scale, 0.0, h)
+    return float(h) if h.ndim == 0 else h
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +292,6 @@ def _metric_at_radius(metric: Metric, r: float) -> float:
     return metric.scale * min(abs(np.log(r)) ** (-metric.exponent), 1.0)
 
 
-def _piece_integral(psib: PsiFunction, domain: DomainSpec, metric: Metric,
-                    a: float, b: float) -> float:
-    """(b - a) * integrand at the geometric midpoint; exact when the
-    covering count is constant on (a, b)."""
-    h = entropy_H(domain, metric, float(np.sqrt(a * b)))
-    if h <= 0.0:
-        return 0.0
-    return v_star(psib, float(np.log(2.0) + h)) * (b - a)
-
-
 _COARSE_COUNT = 64  # per-axis covering counts handled by exact piecewise integration
 
 
@@ -314,38 +301,27 @@ def _chaining_majorant(psib: PsiFunction, domain: DomainSpec, metric: Metric,
 
     The integrand is a step function of x: it changes only where a
     per-axis covering count does.  The coarse region (counts up to
-    _COARSE_COUNT) is integrated exactly piece-by-piece over those
-    breakpoints; the fine tail, where individual steps are relatively
-    tiny, uses log-spaced composite midpoint with ``nodes`` cells.
-    Scales below sigma * 1e-14 are negligible and dropped; single-ball
-    scales contribute nothing.
+    _COARSE_COUNT) is cut exactly at those breakpoints; the fine tail,
+    where individual steps are relatively tiny, is cut into ``nodes``
+    log-spaced cells.  Each cell contributes its width times the
+    integrand at its geometric midpoint, which is exact when the covering
+    count is constant on the cell.  Scales below sigma * 1e-14 are
+    negligible and dropped; single-ball scales contribute nothing.
     """
     if metric.kind == "holder" and metric.scale == 0.0:
         return sigma_psi
     x_min = sigma_psi * 1e-14
     r_c = float(np.max(domain.lengths)) / (2.0 * _COARSE_COUNT)
     x_c = min(max(_metric_at_radius(metric, r_c), x_min), sigma_psi)
-    cuts = {x_c, sigma_psi}
-    for length in domain.lengths:
-        for k in range(1, _COARSE_COUNT + 1):
-            x = _metric_at_radius(metric, length / (2.0 * k))
-            if x_c < x < sigma_psi:
-                cuts.add(float(x))
-    edges = np.array(sorted(cuts))
-    total = sum(_piece_integral(psib, domain, metric, a, b)
-                for a, b in zip(edges[:-1], edges[1:]))
-    if x_c > x_min:
-        fine = np.geomspace(x_min, x_c, nodes + 1)
-        total += sum(_piece_integral(psib, domain, metric, a, b)
-                     for a, b in zip(fine[:-1], fine[1:]))
-    return sigma_psi + 9.0 * total
-
-
-def _log_tail(psib: PsiFunction, z_bar: float, u: float) -> float:
-    """log of the moment-Markov tail inf_p (psibar(p) Zbar / u)^p over the
-    tabulated profile support."""
-    logs = psib.p * (np.log(psib.values) + np.log(z_bar) - np.log(u))
-    return float(np.min(logs))
+    cuts = np.array([_metric_at_radius(metric, length / (2.0 * k))
+                     for length in domain.lengths for k in range(1, _COARSE_COUNT + 1)])
+    coarse = np.unique(np.concatenate([[x_c, sigma_psi], cuts[(cuts > x_c) & (cuts < sigma_psi)]]))
+    fine = np.geomspace(x_min, x_c, nodes + 1)[:-1] if x_c > x_min else np.empty(0)
+    edges = np.concatenate([fine, coarse])
+    h = entropy_H(domain, metric, np.sqrt(edges[:-1] * edges[1:]))
+    filled = h > 0.0
+    v = v_star(psib, np.log(2.0) + h[filled])
+    return sigma_psi + 9.0 * float(np.sum(v * np.diff(edges)[filled]))
 
 
 def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
@@ -366,22 +342,11 @@ def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
         raise ValueError("entropy integral did not stabilize under 10x grid refinement; "
                          "the metric/profile pair is outside the band's hypotheses")
     z_bar = z_fine
-    log_delta = math.log(delta)
-    lo, hi = 2.0 * z_bar, 1e3 * z_bar
-    if _log_tail(psib, z_bar, lo) <= log_delta:
-        u = lo
-    elif _log_tail(psib, z_bar, hi) > log_delta:
+    # tail(u) <= delta  iff  log u >= min_p (log psibar(p) + log Zbar - log(delta) / p)
+    u = max(2.0 * z_bar, float(np.exp(np.min(np.log(psib.values) + math.log(z_bar)
+                                             - math.log(delta) / psib.p))))
+    if u > 1e3 * z_bar:
         raise BandTooWide(f"tail stays above delta={delta} up to u = 1e3 * Zbar (Zbar={z_bar:.4g})")
-    else:
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if _log_tail(psib, z_bar, mid) <= log_delta:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * hi:
-                break
-        u = hi
     return ConfidenceBand(delta=delta, u_delta=float(u),
                           half_width=float(u) / math.sqrt(n),
                           method="nonasymptotic-psi", z_bar=float(z_bar))

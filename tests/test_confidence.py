@@ -90,6 +90,22 @@ def test_v_star_is_lower_envelope():
         assert fm.v_star(psi, x) <= x * y + math.log(float(psi(np.array([1.0 / y]))[0])) + 1e-9
 
 
+def test_v_star_is_exact_on_solution_profile(ts_spec, ts_pnt):
+    # the ts solution profile's objective has an interior minimum near
+    # x = 34.085; knots join the dense grid so kinked minima are on it
+    psi, _ = solution_psi(ts_spec, fm.optimal_allocation(ts_pnt, 4, 10 ** 6))
+    psib = psi_bar(psi)
+    ys = np.union1d(np.geomspace(1.0 / psib.p_max, 1.0 / psib.p[0], 2_000_000), 1.0 / psib.p)
+    log_psi = np.log(psib(1.0 / ys))
+    xs = np.array([0.0, 0.5, 2.0, 10.0, 34.085, 100.0, 1000.0])
+    for x in xs:
+        v = fm.v_star(psib, float(x))
+        grid_min = float(np.min(x * ys + log_psi))
+        assert v <= grid_min + 1e-11
+        assert abs(v - grid_min) <= 1e-11
+    assert np.array_equal(fm.v_star(psib, xs), [fm.v_star(psib, float(x)) for x in xs])
+
+
 def test_v_star_rejects_negative():
     with pytest.raises(ValueError):
         fm.v_star(_sqrt_psi(), -1.0)
@@ -122,6 +138,44 @@ def test_entropy_log_power_metric():
     h = fm.entropy_H(unit, m, 0.1)
     # r = exp(-10): count = ceil(e^10 / 2)
     assert h == pytest.approx(math.log(math.ceil(math.exp(10) / 2)), rel=1e-9)
+
+
+def _entropy_per_axis(domain, metric, eps):
+    # scalar reference: per-axis covering count ceil(L / (2 r)) at ball radius r
+    if metric.kind == "holder":
+        if metric.scale == 0.0:
+            return 0.0
+        log_r = math.log(eps / metric.scale) / metric.exponent
+    else:
+        if eps >= metric.scale:
+            return 0.0
+        log_r = -((metric.scale / eps) ** (1.0 / metric.exponent))
+    h = 0.0
+    for length in domain.lengths:
+        log_ratio = math.log(length / 2.0) - log_r
+        if log_ratio > 40.0:
+            h += log_ratio
+        elif log_ratio > -700.0 and math.exp(log_ratio) > 1.0:
+            h += math.log(math.ceil(math.exp(log_ratio) - 1e-12))
+    return h
+
+
+def test_entropy_array_matches_scalar_reference():
+    unit = DomainSpec(1, ((0.0, 1.0),))
+    box = DomainSpec(2, ((0.0, 1.0), (-1.0, 2.0)), grid_points_per_dim=11)
+    ks = np.arange(1, 65)
+    cases = [(unit, Metric("holder", 1.0, 1.0), np.concatenate([1.0 / (2 * ks), np.geomspace(1e-9, 3.0, 200)])),
+             (box, Metric("holder", 1.0, 1.0), np.concatenate([1.0 / (2 * ks), 3.0 / (2 * ks)])),
+             (box, Metric("holder", 0.7, 1.3), np.geomspace(1e-9, 3.0, 200)),
+             (unit, Metric("holder", 1.0, 0.0), np.geomspace(1e-3, 3.0, 20)),
+             (unit, Metric("log-power", 1.0, 1.0), np.geomspace(0.02, 4.0, 200)),
+             (box, Metric("log-power", 0.5, 2.0), np.concatenate([np.geomspace(1e-3, 2.0, 200), [0.5]]))]
+    for domain, metric, eps in cases:
+        h = fm.entropy_H(domain, metric, eps)
+        assert h.shape == eps.shape
+        ref = np.array([_entropy_per_axis(domain, metric, float(e)) for e in eps])
+        assert np.array_equal(h, ref)
+        assert isinstance(fm.entropy_H(domain, metric, float(eps[0])), float)
 
 
 def test_entropy_rejects_custom_metric():
@@ -289,6 +343,20 @@ def test_nonasymptotic_band_scales_as_inverse_sqrt_n(ts_spec, ts_pnt):
     b2 = fm.nonasymptotic_band(psi, ts_spec.domain, ts_spec.metric, sigma, 0.05, 10_000)
     assert b1.u_delta == b2.u_delta
     assert b1.half_width == pytest.approx(10 * b2.half_width, rel=1e-12)
+
+
+def test_nonasymptotic_u_delta_inverts_tail_exactly(ts_spec, ts_pnt):
+    psi, sigma = solution_psi(ts_spec, fm.optimal_allocation(ts_pnt, 4, 10 ** 6))
+    psib = psi_bar(psi)
+    delta = 0.05
+    band = fm.nonasymptotic_band(psi, ts_spec.domain, ts_spec.metric, sigma, delta, 10 ** 6)
+
+    def log_tail(u):
+        return float(np.min(psib.p * np.log(psib.values * band.z_bar / u)))
+
+    assert log_tail(band.u_delta) <= math.log(delta) + 1e-12
+    if band.u_delta != 2.0 * band.z_bar:
+        assert log_tail(band.u_delta * (1.0 - 1e-9)) > math.log(delta)
 
 
 def test_plugin_covariance_psd_at_small_jitter(ts_spec, ts_pnt):
