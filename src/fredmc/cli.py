@@ -82,6 +82,11 @@ def validate_and_echo(raw: dict, echo: bool = True) -> ExperimentConfig:
     return cfg
 
 
+# accepted JSON types per field annotation; a bool is not taken for a number
+_FIELD_TYPES = {"int": (int, float), "float": (int, float),
+                "Optional[int]": (int, float, type(None)), "str": (str,), "tuple": (list, tuple)}
+
+
 def _normalize(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -92,7 +97,10 @@ def _normalize(raw: dict) -> ExperimentConfig:
     if "problem" not in raw or not isinstance(raw["problem"], dict) or "name" not in raw["problem"]:
         raise ConfigError("config needs a 'problem' object with a 'name'")
     cfg = ExperimentConfig(**raw)
-    cfg.budgets = tuple(int(b) for b in cfg.budgets)
+    for f in dataclasses.fields(cfg):
+        value, allowed = getattr(cfg, f.name), _FIELD_TYPES.get(f.type)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"{f.name} has the wrong type: {value!r}")
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
     if not 0.0 < cfg.epsilon < 0.5:
@@ -111,7 +119,13 @@ def _normalize(raw: dict) -> ExperimentConfig:
         raise ConfigError("tail_report needs n_sim >= 1e5")
     if (cfg.tail_report or cfg.export_covariance) and cfg.band_method == "nonasymptotic-psi":
         raise ConfigError("tail_report/export_covariance need the gauss-sim band")
-    _build_spec(cfg)  # fail early on problem parameters
+    try:
+        cfg.budgets = tuple(int(b) for b in cfg.budgets)
+        _build_spec(cfg)  # fail early on problem parameters
+    except KeyError as exc:
+        raise ConfigError(f"problem {cfg.problem['name']!r} is missing parameter {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"malformed budgets or problem parameter: {exc}") from None
     return cfg
 
 
@@ -427,16 +441,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.budget is not None:
-        raw["budget"] = args.budget
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.command != "validate":
-        raw["mode"] = _SUBCOMMAND_MODE.get(args.command, args.command)
+    mode = None if args.command == "validate" else _SUBCOMMAND_MODE.get(args.command, args.command)
+    overrides = {"seed": args.seed, "budget": args.budget, "out_dir": args.out,
+                 "workers": args.workers, "mode": mode}
+    if isinstance(raw, dict):  # anything else is refused by validate_and_echo (exit 2)
+        raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         cfg = validate_and_echo(raw, echo=args.command == "validate")
         if args.command == "validate":

@@ -102,6 +102,8 @@ class ConfidenceBand:
             "half_width": float(self.half_width) if self.half_width is not None else None,
             "sigma_plus_sq": float(self.covariance.sigma_plus_sq) if self.covariance else None,
         }
+        if self.z_bar is not None:
+            out["z_bar"] = float(self.z_bar)
         if kappa_fit is not None:
             out["kappa_fit"] = float(kappa_fit)
             out["C_fit"] = float(C_fit)

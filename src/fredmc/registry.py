@@ -47,16 +47,6 @@ class SeparablePolyKernel:
 
 
 @dataclass(frozen=True)
-class SeparablePolyKernelDt:
-    a_deriv: tuple[float, ...]
-    b: tuple[float, ...]
-
-    def __call__(self, t, s):
-        t, s = np.asarray(t), np.asarray(s)
-        return P.polyval(t[..., 0], self.a_deriv) * P.polyval(s[..., 0], self.b)
-
-
-@dataclass(frozen=True)
 class GaussConvKernel:
     """K(t, s) = scale * exp(-kappa * |t - s|^2)."""
 
@@ -221,7 +211,7 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
             domain=domain, mu=mu,
             kernel=SeparablePolyKernel(a, b),
             forcing=forcing, forcing_dt=forcing_dt,
-            kernel_dt=SeparablePolyKernelDt(a_deriv, b),
+            kernel_dt=SeparablePolyKernel(a_deriv, b),  # dK/dt = a'(t) * b(s)
             envelope_R=ScaledAbsPoly(sup_a, b),
             envelope_Q=ProductFunc(forcing, ScaledAbsPoly(sup_a, b)),
             metric=Metric("holder", exponent=1.0, scale=lip_a / sup_a),

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from fredmc.cli import main, validate_and_echo
 
 TS_PROBLEM = {"name": "separable-poly", "a": [0.0, 1.0], "b": [0.0, 1.0],
@@ -143,6 +145,30 @@ def test_band_json_schema(tmp_path):
         assert b["delta"] == 0.05
         assert b["half_width"] >= 0
         assert b["n"] == 5000
+        if b["method"] == "nonasymptotic-psi":
+            # u_delta is inverted from the chaining majorant within [2, 1e3] * z_bar
+            assert 2 * b["z_bar"] <= b["u_delta"] <= 1e3 * b["z_bar"]
+        else:
+            assert "z_bar" not in b
+
+
+@pytest.mark.parametrize("overrides", [
+    {"budget": "abc"},
+    {"grid": "x"},
+    {"problem": {"name": "constant", "forcing": {"kind": "const", "value": 1.0}}},
+    {"problem": {"name": "separable-poly", "a": [0.0, 1.0]}},
+    None,  # a top-level JSON list instead of an object
+], ids=["budget-str", "grid-str", "constant-no-gamma", "separable-no-b", "top-level-list"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
+    if overrides is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"problem": TS_PROBLEM}]))
+    else:
+        path = _write_config(tmp_path, **overrides)
+    assert main(["allocate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 def test_exit_code_contractivity(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fredmc as fm
+from fredmc.cli import KernelTimesForcing
 from fredmc.problem import DomainSpec, MeasureSampler, ProblemSpec
 
 
@@ -142,14 +143,30 @@ def test_same_seed_bit_identical(ts_spec, ts_pnt):
     assert np.array_equal(a.pointwise_var, b.pointwise_var)
 
 
-def test_draws_are_grid_independent(ts_spec, ts_pnt):
+def _engine_on(engine, spec, pnt, grid, seed):
+    n = 40_000  # more than one block of replicates for the leading terms
+    if engine == "integral":
+        return fm.estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
+                                               grid, n, seed)
+    if engine == "geometric":
+        return fm.solve_geometric(spec, 0.5, 8, n, grid, seed, pnt=pnt)
+    solver = fm.solve_fredholm_mc if engine == "solve" else fm.derivative_solve
+    return solver(spec, _plan(4), fm.optimal_allocation(pnt, 4, n), grid, seed)
+
+
+@pytest.mark.parametrize("problem", ["ts", "gauss"])
+@pytest.mark.parametrize("engine", ["solve", "derivative", "integral", "geometric"])
+def test_draws_are_grid_independent(request, engine, problem):
     # dependent-trial coupling: changing the grid must not change the
-    # tuples, so shared points agree bit-for-bit
-    alloc = fm.optimal_allocation(ts_pnt, 4, 8000)
+    # tuples, so shared points agree bit-for-bit in every engine
+    spec = request.getfixturevalue(f"{problem}_spec")
+    pnt = request.getfixturevalue(f"{problem}_pnt")
     fine = np.linspace(0, 1, 41)
     coarse = fine[::4]
-    a = fm.solve_fredholm_mc(ts_spec, _plan(4), alloc, fine, seed=21)
-    b = fm.solve_fredholm_mc(ts_spec, _plan(4), alloc, coarse, seed=21)
+    a = _engine_on(engine, spec, pnt, fine, seed=21)
+    b = _engine_on(engine, spec, pnt, coarse, seed=21)
+    assert np.array_equal(a.values[::4], b.values)
+    assert np.array_equal(a.pointwise_var[::4], b.pointwise_var)
     assert np.array_equal(a.per_term[:, ::4], b.per_term)
 
 
