@@ -240,6 +240,8 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
     per-batch substreams and a deterministic merge."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if n_sim < 1:
+        raise ValueError("n_sim must be >= 1")
     if delta <= 0.05 and n_sim < 10_000:
         raise ValueError("need n_sim >= 1e4 for delta <= 0.05")
     Z = cov.Z_hat

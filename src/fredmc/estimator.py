@@ -12,6 +12,10 @@ factor over the grid (K; dK/dt for the derivative; g for a parametric
 integral, which has no tail) times the t-free chain K(x1,x2)...f(x_m).
 One runner, ``_run_term``, draws the tuples, evaluates that product and
 folds the block moments; the engines pick the factor, substreams, counts.
+A first factor with ``factors() -> (a, b)``, meaning K(t, s) = a(t) * b(s),
+makes the field a(t) * w with one scalar w = b(x1) * tail per tuple: the
+runner folds the scalar moments of w and expands them over the grid, so no
+grid x tuple array is built.
 
 Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never
@@ -150,7 +154,25 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
               tail: Optional[Callable], theta: float, collect_cov: bool) -> TermMoments:
     """Dependent-trial average of one term: ``count`` replicates of
     m-tuples, the same tuples reused for every grid point; the field per
-    tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None."""
+    tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None.
+
+    If ``first`` has ``factors()`` returning (a, b) with first(t, s) =
+    a(t) * b(s), the same block loop runs on a one-point grid with first
+    factor b(x1), consuming the same draws in the same order, and the scalar
+    moments of w = b(x1) * tail are expanded: mean a * mean_w, m2_diag
+    a^2 * M2_w, m2_full outer(a, a) * M2_w.
+    """
+    factors = getattr(first, "factors", None)
+    if factors is not None:
+        a, b = factors()
+        a_t = np.asarray(a(grid), dtype=float)
+        if not np.all(np.isfinite(a_t)):
+            raise ValueError(f"non-finite first factor at t={grid[np.argmin(np.isfinite(a_t))]}")
+        w = _run_term(count, m, grid[:1], rng, mu, domain, lambda t, x: b(x), tail,
+                      theta, False)
+        return TermMoments(m=m, theta=theta, count=w.count, mean=a_t * w.mean,
+                           m2_diag=a_t * a_t * w.m2_diag,
+                           m2_full=np.outer(a_t, a_t) * w.m2_diag if collect_cov else None)
     tm = TermMoments(m=m, theta=theta)
     done = 0
     while done < count:

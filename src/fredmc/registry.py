@@ -26,6 +26,9 @@ KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
 
 @dataclass(frozen=True)
 class ConstantKernel:
+    """K(t, s) = gamma on any dimension; ``factors()`` gives a(t) = gamma,
+    b(s) = 1, so the engines fold one scalar per tuple."""
+
     gamma: float
 
     def __call__(self, t, s):
@@ -33,10 +36,14 @@ class ConstantKernel:
         shp = np.broadcast_shapes(t.shape[:-1], s.shape[:-1])
         return np.full(shp, self.gamma)
 
+    def factors(self):
+        return ConstFunc(self.gamma), ConstFunc(1.0)
+
 
 @dataclass(frozen=True)
 class SeparablePolyKernel:
-    """K(t, s) = a(t) * b(s), 1-D, polynomial coefficient lists (low->high)."""
+    """K(t, s) = a(t) * b(s), 1-D, polynomial coefficient lists (low->high);
+    ``factors()`` returns (a, b), so the engines fold one scalar per tuple."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
@@ -44,6 +51,9 @@ class SeparablePolyKernel:
     def __call__(self, t, s):
         t, s = np.asarray(t), np.asarray(s)
         return P.polyval(t[..., 0], self.a) * P.polyval(s[..., 0], self.b)
+
+    def factors(self):
+        return PolyFunc(self.a), PolyFunc(self.b)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,16 @@ def test_tail_report_needs_enough_sims(tmp_path, capsys):
     assert "n_sim" in capsys.readouterr().err
 
 
+def test_zero_n_sim_is_a_config_error(tmp_path, capsys):
+    # above delta = 0.05 the 1e4 floor does not apply, so n_sim = 0 reaches
+    # the simulation itself
+    path = _write_config(tmp_path, delta=0.1, n_sim=0, out_dir=str(tmp_path / "ns"))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_sim" in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_estimates(tmp_path):
     path = _write_config(tmp_path, out_dir=str(tmp_path / "s1"))
     assert main(["solve", "--config", str(path)]) == 0

@@ -234,6 +234,8 @@ def test_sup_quantile_monotone_in_delta(ts_spec, ts_pnt):
 def test_sup_quantile_nsim_precondition():
     with pytest.raises(ValueError, match="n_sim"):
         fm.simulate_sup_quantile(_scalar_cov(1.0), 0.05, 5000, seed=0)
+    with pytest.raises(ValueError, match="n_sim must be >= 1"):
+        fm.simulate_sup_quantile(_scalar_cov(1.0), 0.1, 0, seed=0)
 
 
 def test_band_width_scales_exactly_as_inverse_sqrt_n():

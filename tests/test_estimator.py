@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,70 @@ def test_draws_are_grid_independent(request, engine, problem):
     assert np.array_equal(a.values[::4], b.values)
     assert np.array_equal(a.pointwise_var[::4], b.pointwise_var)
     assert np.array_equal(a.per_term[:, ::4], b.per_term)
+
+
+def _unfactored(spec):
+    """The same problem behind plain functions without ``factors()``, so every
+    engine takes the general grid x tuple path."""
+    k, kdt = spec.kernel, spec.kernel_dt
+    return dataclasses.replace(spec, kernel=lambda t, s: k(t, s),
+                               kernel_dt=None if kdt is None else (lambda t, s: kdt(t, s)))
+
+
+def _factored_case(problem, ts_spec, ts_pnt):
+    if problem == "ts":
+        return ts_spec, ts_pnt, np.linspace(0, 1, 11)
+    if problem == "const-1d":
+        spec = fm.build_problem("constant", {"gamma": 0.3, "forcing": {
+            "kind": "poly", "coeffs": [1.0, 0.5, -0.7]}})
+        return spec, fm.power_norms(spec, 10, method="analytic"), np.linspace(0, 1, 11)
+    spec = dataclasses.replace(
+        fm.build_problem("constant", {"gamma": 0.3, "bounds": [[0, 1], [0, 1]]}),
+        forcing=lambda x: 1.0 + np.asarray(x)[..., 0] * np.asarray(x)[..., 1])
+    axis = np.linspace(0, 1, 3)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return spec, fm.power_norms(spec, 10, method="analytic"), grid
+
+
+def _assert_rel_close(fast, general):
+    # relative 1e-12 and no absolute slack: entries that are exactly zero in
+    # the general path (t = 0 for t*s, dK/dt = 0) must be exactly zero here
+    np.testing.assert_allclose(fast, general, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("problem", ["ts", "const-1d", "const-2d"])
+def test_factored_first_factor_matches_general_runner(problem, ts_spec, ts_pnt):
+    spec, pnt, grid = _factored_case(problem, ts_spec, ts_pnt)
+    general = _unfactored(spec)
+    alloc = fm.optimal_allocation(pnt, 4, 40_000)
+    runs = [lambda sp: fm.solve_fredholm_mc(sp, _plan(4), alloc, grid, 13,
+                                            collect_covariance=True),
+            lambda sp: fm.solve_geometric(sp, 0.5, 8, 40_000, grid, 13, pnt=pnt)]
+    if spec.domain.dim == 1:
+        runs.append(lambda sp: fm.derivative_solve(sp, _plan(4), alloc, grid, 13,
+                                                   collect_covariance=True))
+    for run in runs:
+        a, b = run(spec), run(general)
+        _assert_rel_close(a.values, b.values)
+        _assert_rel_close(a.pointwise_var, b.pointwise_var)
+        _assert_rel_close(a.per_term, b.per_term)
+        for tm_a, tm_b in zip(a.moments or [], b.moments or [], strict=True):
+            _assert_rel_close(tm_a.m2_full, tm_b.m2_full)
+
+
+def test_factored_first_factor_rejects_nonfinite_a(ts_spec, ts_pnt):
+    class NaNAboveHalf:
+        def __call__(self, t, s):
+            return ts_spec.kernel(t, s)
+
+        def factors(self):
+            a, b = ts_spec.kernel.factors()
+            return (lambda t: np.where(np.asarray(t)[..., 0] > 0.5, np.nan, a(t))), b
+
+    spec = dataclasses.replace(ts_spec, kernel=NaNAboveHalf())
+    alloc = fm.optimal_allocation(ts_pnt, 2, 1000)
+    with pytest.raises(ValueError, match=r"non-finite first factor at t=\[0\.6\]"):
+        fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0, 1, 6), seed=0)
 
 
 def test_per_term_unbiased_against_oracle(ts_spec, ts_pnt):
