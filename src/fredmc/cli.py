@@ -119,6 +119,8 @@ def _normalize(raw: dict) -> ExperimentConfig:
         raise ConfigError("tail_report needs n_sim >= 1e5")
     if (cfg.tail_report or cfg.export_covariance) and cfg.band_method == "nonasymptotic-psi":
         raise ConfigError("tail_report/export_covariance need the gauss-sim band")
+    if cfg.mode == "derivative" and cfg.band_method != "gauss-sim":
+        raise ConfigError("derivative mode supports band_method gauss-sim only")
     try:
         cfg.budgets = tuple(int(b) for b in cfg.budgets)
         _build_spec(cfg)  # fail early on problem parameters
@@ -143,6 +145,25 @@ class KernelTimesForcing:
 
     def __call__(self, t, x):
         return np.asarray(self.spec.kernel(t, x)) * np.asarray(self.spec.forcing(x))
+
+    def factors(self):
+        """(A, B * f[, eps]) when the kernel has factors (A, B[, eps]), else None."""
+        fac = getattr(self.spec.kernel, "factors", lambda: None)()
+        if fac is None:
+            return None
+        a, b, *rest = fac
+        return (a, _TimesForcing(b, self.spec.forcing), *rest)
+
+
+@dataclass(frozen=True)
+class _TimesForcing:
+    """x -> B(x) * f(x), B of shape (n,) or (r, n)."""
+
+    b: object
+    f: object
+
+    def __call__(self, x):
+        return np.asarray(self.b(x)) * np.asarray(self.f(x))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +312,11 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         artifacts.append("allocation.json")
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
         est = solver(spec, plan, alloc, grid, cfg.seed, collect_covariance=collect)
-        if cfg.mode == "derivative" and cfg.band_method != "gauss-sim":
-            raise ConfigError("derivative mode supports band_method gauss-sim only")
         bands, cov = _bands_for(cfg, spec, alloc, est, cfg.budget)
         summary["N"] = plan.N
         summary["tail_bound"] = plan.tail_bound
+    if est.mode != "geometric":
+        summary["first_factor"] = _first_factor_summary(spec, est)
 
     write_estimate_csv(out / "estimate.csv", est)
     if cfg.export_per_term and est.mode != "geometric":
@@ -311,6 +332,21 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
     _write_manifest(out, cfg, artifacts, summary, t0)
     print(f"{cfg.mode}: wrote {len(artifacts)} artifact(s) to {out}")
     return 0
+
+
+def _first_factor_summary(spec: ProblemSpec, est: EstimateTable) -> Optional[dict]:
+    """Rank r and remainder bound eps_K of the first factor on the factored
+    path, with the bias they add to the estimate: term m's first factor is
+    off by at most eps_K and its tail is at most sup|K|^(m-1) ||f||, so
+    the bias is at most eps_K * sum_m sup|K|^(m-1) ||f||.  None when the
+    general path ran."""
+    if est.factor_rank is None:
+        return None
+    k_sup = float(np.max(np.abs(np.asarray(spec.envelope_R(spec.domain.grid()), dtype=float))))
+    n_terms = est.per_term.shape[0]
+    tails = sum(k_sup ** (m - 1) for m in range(1, n_terms + 1)) * spec.f_norm
+    return {"rank": est.factor_rank, "eps_K": est.factor_eps,
+            "bias_bound": est.factor_eps * tails}
 
 
 def _solve_sup_error(cfg, spec, pnt, plan, n, rep, ref) -> float:

@@ -12,10 +12,11 @@ factor over the grid (K; dK/dt for the derivative; g for a parametric
 integral, which has no tail) times the t-free chain K(x1,x2)...f(x_m).
 One runner, ``_run_term``, draws the tuples, evaluates that product and
 folds the block moments; the engines pick the factor, substreams, counts.
-A first factor with ``factors() -> (a, b)``, meaning K(t, s) = a(t) * b(s),
-makes the field a(t) * w with one scalar w = b(x1) * tail per tuple: the
-runner folds the scalar moments of w and expands them over the grid, so no
-grid x tuple array is built.
+A first factor with ``factors()``, meaning K(t, s) = sum_k A_k(t) B_k(s)
+(exact for constant and separable-poly kernels, a Taylor expansion with a
+closed-form remainder bound for gauss-conv), makes the field A(t) w with
+one r-vector w = B(x1) * tail per tuple: the runner folds the moments of
+w and expands them over the grid, so no grid x tuple array is built.
 
 Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never
@@ -50,6 +51,8 @@ class TermMoments:
     mean: Optional[np.ndarray] = None
     m2_diag: Optional[np.ndarray] = None
     m2_full: Optional[np.ndarray] = None
+    rank: Optional[int] = None      # first factor's rank r on the factored path
+    eps_k: Optional[float] = None   # its remainder bound |K - sum_k A_k B_k|
 
     def merge_block(self, vals: np.ndarray, full: bool) -> None:
         """Fold one (grid, block) slab of per-tuple values into the running
@@ -83,7 +86,9 @@ class EstimateTable:
 
     ``per_term[i]`` holds the i-th term's dependent-trial average; in mode
     "solution" the reconstruction ``values = f + sum_i per_term[i]`` holds
-    exactly.  ``n_used`` counts elapsed scalar draws.
+    exactly.  ``n_used`` counts elapsed scalar draws.  ``factor_rank`` and
+    ``factor_eps`` are the first factor's rank r and remainder bound when
+    the terms took the factored path, else None.
     """
 
     t_grid: np.ndarray
@@ -95,6 +100,8 @@ class EstimateTable:
     seed: int
     mode: str
     moments: Optional[list[TermMoments]] = field(default=None, repr=False, compare=False)
+    factor_rank: Optional[int] = None
+    factor_eps: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,6 @@ def _chain_tail(spec: ProblemSpec, xs: np.ndarray) -> np.ndarray:
     return c * np.asarray(spec.forcing(xs[:, -1, :]), dtype=float)
 
 
-def _check_block(vals: np.ndarray, grid: np.ndarray, xs: np.ndarray) -> None:
-    if np.all(np.isfinite(vals)):
-        return
-    g_idx, r_idx = np.argwhere(~np.isfinite(vals))[0]
-    raise ValueError(f"non-finite integrand at t={grid[g_idx]}, x={xs[r_idx]}")
-
-
 def _term_field(first: Callable, tail: Optional[Callable], grid: np.ndarray,
                 xs: np.ndarray) -> np.ndarray:
     """``first(t, x1) * tail(xs)`` on the grid, shape (G, nb).  Kept out of
@@ -146,7 +146,45 @@ def _term_field(first: Callable, tail: Optional[Callable], grid: np.ndarray,
     previous block: built inline, the product made 1.8x the page faults and
     ran 20-25 % slower (G = 101, glibc malloc, 2-core x86)."""
     vals = np.asarray(first(grid[:, None, :], xs[None, :, 0, :]), dtype=float)
-    return vals if tail is None else vals * tail(xs)[None, :]
+    vals = vals if tail is None else vals * tail(xs)[None, :]
+    if not np.all(np.isfinite(vals)):
+        g_idx, r_idx = np.argwhere(~np.isfinite(vals))[0]
+        raise ValueError(f"non-finite integrand at t={grid[g_idx]}, x={xs[r_idx]}")
+    return vals
+
+
+def _factor_field(b: Callable, tail: Optional[Callable], xs: np.ndarray) -> np.ndarray:
+    """The t-free factor ``B(x1) * tail(xs)``, shape (r, nb)."""
+    vals = np.asarray(b(xs[:, 0, :]), dtype=float).reshape(-1, xs.shape[0])
+    vals = vals if tail is None else vals * tail(xs)[None, :]
+    if not np.all(np.isfinite(vals)):
+        r_idx = np.argwhere(~np.isfinite(vals))[0, 1]
+        raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[r_idx]}")
+    return vals
+
+
+def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
+    """(A(grid) of shape (G, r), B, eps) when the first factor takes the
+    factored path, else None.  ``first.factors()`` returns (a, b) for an
+    exact K(t, s) = sum_k a_k(t) b_k(s), or (a, b, eps) for an expansion
+    within eps of K on the domain box, or None; a(t) has shape (G,) or
+    (G, r), b(s) shape (n,) or (r, n).  The path is taken while r <= G/2,
+    G the domain's grid size (so it does not depend on the points passed),
+    and an inexact expansion only on grids inside the box."""
+    fac = getattr(first, "factors", lambda: None)()
+    if fac is None:
+        return None
+    a, b, *rest = fac
+    eps = float(rest[0]) if rest else 0.0
+    if eps > 0.0 and np.any((grid < domain.lows) | (grid > domain.highs)):
+        return None
+    a_t = np.asarray(a(grid), dtype=float).reshape(grid.shape[0], -1)
+    if 2 * a_t.shape[1] > domain.grid_points_per_dim ** domain.dim:
+        return None
+    bad = ~np.all(np.isfinite(a_t), axis=1)
+    if np.any(bad):
+        raise ValueError(f"non-finite first factor at t={grid[np.argmax(bad)]}")
+    return a_t, b, eps
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
@@ -156,33 +194,39 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     m-tuples, the same tuples reused for every grid point; the field per
     tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None.
 
-    If ``first`` has ``factors()`` returning (a, b) with first(t, s) =
-    a(t) * b(s), the same block loop runs on a one-point grid with first
-    factor b(x1), consuming the same draws in the same order, and the scalar
-    moments of w = b(x1) * tail are expanded: mean a * mean_w, m2_diag
-    a^2 * M2_w, m2_full outer(a, a) * M2_w.
+    On the factored path (``_first_factors``) the same block loop, with the
+    same draws in the same order, folds the r-vector w = B(x1) * tail and
+    its r x r co-moment M2_w, which are expanded over the grid: mean
+    A mu_w, m2_diag rowwise(A M2_w A^T), m2_full A M2_w A^T.  The diagonal
+    of M2_w is the per-row one of ``merge_block``, so r = 1 gives
+    a * mu_w and a^2 * M2_w exactly.
     """
-    factors = getattr(first, "factors", None)
-    if factors is not None:
-        a, b = factors()
-        a_t = np.asarray(a(grid), dtype=float)
-        if not np.all(np.isfinite(a_t)):
-            raise ValueError(f"non-finite first factor at t={grid[np.argmin(np.isfinite(a_t))]}")
-        w = _run_term(count, m, grid[:1], rng, mu, domain, lambda t, x: b(x), tail,
-                      theta, False)
-        return TermMoments(m=m, theta=theta, count=w.count, mean=a_t * w.mean,
-                           m2_diag=a_t * a_t * w.m2_diag,
-                           m2_full=np.outer(a_t, a_t) * w.m2_diag if collect_cov else None)
+    fac = _first_factors(first, grid, domain)
+    if fac is None:
+        values_of = functools.partial(_term_field, first, tail, grid)
+        full = collect_cov
+    else:
+        a_t, b, eps = fac
+        values_of = functools.partial(_factor_field, b, tail)
+        # a 1 x 1 co-moment is its diagonal; forming it per block costs a BLAS dot
+        full = a_t.shape[1] > 1
     tm = TermMoments(m=m, theta=theta)
     done = 0
     while done < count:
         nb = min(BLOCK_REPLICATES, count - done)
         xs = mu.sample(domain, nb * m, rng).reshape(nb, m, domain.dim)
-        vals = _term_field(first, tail, grid, xs)
-        _check_block(vals, grid, xs)
-        tm.merge_block(vals, full=collect_cov)
+        vals = values_of(xs)
+        tm.merge_block(vals, full=full)
         done += nb
-    return tm
+    if fac is None:
+        return tm
+    m2 = np.diag(tm.m2_diag) if tm.m2_full is None else tm.m2_full
+    np.fill_diagonal(m2, tm.m2_diag)
+    return TermMoments(m=m, theta=theta, count=tm.count,
+                       mean=np.einsum("gk,k->g", a_t, tm.mean),
+                       m2_diag=np.einsum("gj,gk,jk->g", a_t, a_t, m2),
+                       m2_full=(a_t @ m2) @ a_t.T if collect_cov else None,
+                       rank=a_t.shape[1], eps_k=eps)
 
 
 def _table(grid: np.ndarray, base, moments: list[TermMoments], n_used: int,
@@ -196,6 +240,7 @@ def _table(grid: np.ndarray, base, moments: list[TermMoments], n_used: int,
         per_term=per_term, per_term_var=per_term_var,
         n_used=n_used, seed=seed, mode=mode,
         moments=moments if collect_cov else None,
+        factor_rank=moments[0].rank, factor_eps=moments[0].eps_k,
     )
 
 
@@ -338,12 +383,14 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
     f_grid = np.asarray(spec.forcing(grid), dtype=float)
     tail = functools.partial(_chain_tail, spec)
     per_term = np.empty((M, grid.shape[0]))
+    rank = eps_k = None
     for j, tau in enumerate(taus):
         if tau == 0:
             per_term[j] = f_grid  # S^0[f] = f, known exactly
             continue
-        per_term[j] = _run_term(n_j, int(tau), grid, substream(seed, TAG_GEOMETRIC, 1 + j),
-                                spec.mu, spec.domain, spec.kernel, tail, 1.0, False).mean
+        tm = _run_term(n_j, int(tau), grid, substream(seed, TAG_GEOMETRIC, 1 + j),
+                       spec.mu, spec.domain, spec.kernel, tail, 1.0, False)
+        per_term[j], rank, eps_k = tm.mean, tm.rank, tm.eps_k
     scale = 1.0 / (1.0 - lam)
     values = per_term.mean(axis=0) * scale
     var = per_term.var(axis=0, ddof=1) / M * scale ** 2
@@ -351,4 +398,5 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
         t_grid=grid, values=values, pointwise_var=var,
         per_term=per_term, per_term_var=np.zeros_like(per_term),
         n_used=realized, seed=seed, mode="geometric",
+        factor_rank=rank, factor_eps=eps_k,
     )

@@ -8,8 +8,10 @@ plain classes so problem specs stay picklable for worker pools.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -58,26 +60,141 @@ class SeparablePolyKernel:
 
 @dataclass(frozen=True)
 class GaussConvKernel:
-    """K(t, s) = scale * exp(-kappa * |t - s|^2)."""
+    """K(t, s) = scale * exp(-kappa * |t - s|^2).
+
+    With ``box`` (the domain bounds, set by ``build_problem``), ``factors()``
+    returns the truncated Taylor expansion of exp(2 kappa u.v), u = t - c,
+    v = s - c about the box centre c (the improved fast Gauss transform
+    expansion): (A, B, eps) with |K - sum_k A_k B_k| <= eps for t, s in
+    the box, eps = |scale| x^p / p! e^x, x = 2 kappa h^2, h the box's
+    half-diagonal, and p the smallest degree giving eps <= 1e-17 |scale|.
+    """
 
     scale: float
     kappa: float
+    box: Optional[tuple[tuple[float, float], ...]] = None
 
     def __call__(self, t, s):
         t, s = np.asarray(t), np.asarray(s)
         d2 = np.sum((t - s) ** 2, axis=-1)
         return self.scale * np.exp(-self.kappa * d2)
 
+    def factors(self):
+        return _gauss_factors(self, lambda x, h, p: _taylor_rest(x, p), "t")
+
 
 @dataclass(frozen=True)
 class GaussConvKernelDt:
+    """dK/dt of the 1-D gauss-conv kernel; ``factors()`` returns (A', B, eps)
+    with A' the t-derivative of GaussConvKernel's A and
+    eps = |scale| 2 kappa h (x^p / p! + x^(p-1) / (p-1)!) e^x."""
+
     scale: float
     kappa: float
+    box: Optional[tuple[tuple[float, float], ...]] = None
 
     def __call__(self, t, s):
         t, s = np.asarray(t), np.asarray(s)
         u = (t - s)[..., 0]
         return -2.0 * self.kappa * u * self.scale * np.exp(-self.kappa * u * u)
+
+    def factors(self):
+        return _gauss_factors(self, lambda x, h, p: 2.0 * self.kappa * h * (
+            _taylor_rest(x, p) + _taylor_rest(x, p - 1)), "dt")
+
+
+# ---------------------------------------------------------------------------
+# Taylor factors of the gauss-conv kernel
+
+_TAYLOR_TOL = 1e-17      # remainder bound relative to |scale|
+_TAYLOR_MAX_RANK = 512   # no expansion with more features is offered
+
+
+def _taylor_rest(x: float, p: int) -> float:
+    """x^p / p! * e^x: the Lagrange bound on sum_{k >= p} y^k / k! for |y| <= x."""
+    return math.exp(p * math.log(x) - math.lgamma(p + 1) + x)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_steps(dim: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    """Every monomial of total degree 1..p-1 in ``dim`` variables, in graded
+    order after the constant, as (parent, axis, power): monomial n is
+    monomial ``parent`` times x[axis], whose exponent becomes ``power``.
+    Each monomial has one parent (the last axis it uses is the one added)."""
+    steps, alphas, last, prev = [], [(0,) * dim], [0], [0]
+    for _ in range(1, p):
+        cur = []
+        for parent in prev:
+            for axis in range(last[parent], dim):
+                alpha = list(alphas[parent])
+                alpha[axis] += 1
+                steps.append((parent, axis, alpha[axis]))
+                alphas.append(tuple(alpha))
+                last.append(axis)
+                cur.append(len(alphas) - 1)
+        prev = cur
+    return tuple(steps)
+
+
+def _gauss_factors(kernel, rest, side: str):
+    """(A, B, eps) for a gauss-conv kernel or its t-derivative, or None when
+    the kernel has no box or needs more than _TAYLOR_MAX_RANK features."""
+    if kernel.box is None:
+        return None
+    lows, highs = np.array(kernel.box, dtype=float).T
+    centre = tuple(float(c) for c in (lows + highs) / 2.0)
+    h = float(np.sqrt(np.sum(((highs - lows) / 2.0) ** 2)))
+    x = 2.0 * kernel.kappa * h * h
+    p = 1
+    while rest(x, h, p) > _TAYLOR_TOL:
+        p += 1
+        if math.comb(p - 1 + len(centre), len(centre)) > _TAYLOR_MAX_RANK:
+            return None
+    return (GaussTaylorFactor(kernel.kappa, centre, p, side, kernel.scale),
+            GaussTaylorFactor(kernel.kappa, centre, p, "s"),
+            abs(kernel.scale) * rest(x, h, p))
+
+
+@dataclass(frozen=True)
+class GaussTaylorFactor:
+    """One side of K_p(t, s) = scale e^(-kappa |u|^2) e^(-kappa |v|^2)
+    sum_{|alpha| < p} (2 kappa)^|alpha| / alpha! u^alpha v^alpha.
+
+    Side "s" gives the monomials e^(-kappa |v|^2) v^alpha, shape (r, ...);
+    side "t" gives scale (2 kappa)^|alpha| / alpha! e^(-kappa |u|^2) u^alpha,
+    shape (..., r); side "dt" (1-D) gives the t-derivative of side "t".
+    Rows come from the recurrence P_alpha+e_i = P_alpha * u_i, not powers.
+    """
+
+    kappa: float
+    centre: tuple[float, ...]
+    p: int
+    side: str
+    scale: float = 1.0
+
+    def _rows(self, x, p: int, weighted: bool) -> np.ndarray:
+        u = np.asarray(x, dtype=float) - np.asarray(self.centre)
+        cols = [np.ascontiguousarray(u[..., i]) for i in range(u.shape[-1])]
+        steps = _monomial_steps(len(cols), p)
+        rows = np.empty((len(steps) + 1,) + u.shape[:-1])
+        rows[0] = np.exp(-self.kappa * np.sum(u * u, axis=-1))
+        for k, (parent, axis, power) in enumerate(steps, 1):
+            np.multiply(rows[parent], cols[axis], out=rows[k])
+            if weighted:
+                rows[k] *= 2.0 * self.kappa / power
+        return rows
+
+    def __call__(self, x):
+        if self.side == "s":
+            return self._rows(x, self.p, False)
+        if self.side == "t":
+            q = self._rows(x, self.p, True)
+        else:  # d/du [c_k e^(-kappa u^2) u^k] = 2 kappa Q_(k-1) - (k+1) Q_(k+1), 1-D
+            full = self._rows(x, self.p + 1, True)
+            k = np.arange(self.p).reshape((-1,) + (1,) * (full.ndim - 1))
+            q = -(k + 1) * full[1:]
+            q[1:] += 2.0 * self.kappa * full[:-2]
+        return np.moveaxis(self.scale * q, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -238,9 +355,9 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
     lip = np.sqrt(2.0 * kappa / np.e)  # sup_u |d/du exp(-kappa u^2)| = sqrt(2 kappa / e)
     return ProblemSpec(
         domain=domain, mu=mu,
-        kernel=GaussConvKernel(scale, kappa),
+        kernel=GaussConvKernel(scale, kappa, domain.bounds),
         forcing=forcing, forcing_dt=forcing_dt,
-        kernel_dt=GaussConvKernelDt(scale, kappa) if domain.dim == 1 else None,
+        kernel_dt=GaussConvKernelDt(scale, kappa, domain.bounds) if domain.dim == 1 else None,
         envelope_R=ConstFunc(abs(scale)),
         envelope_Q=ProductFunc(forcing, ConstFunc(abs(scale))),
         metric=Metric("holder", exponent=1.0, scale=lip),

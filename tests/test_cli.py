@@ -239,3 +239,36 @@ def test_seed_override_changes_estimates(tmp_path):
     a = (tmp_path / "s1" / "estimate.csv").read_text()
     b = (tmp_path / "s2" / "estimate.csv").read_text()
     assert a != b
+
+
+def test_derivative_with_psi_band_fails_before_any_engine(tmp_path, capsys):
+    out = tmp_path / "dpsi"
+    path = _write_config(tmp_path, band_method="both", out_dir=str(out))
+    assert main(["derivative", "--config", str(path)]) == 2
+    assert "band_method" in capsys.readouterr().err
+    assert not (out / "allocation.json").exists()
+
+
+GAUSS_PROBLEM = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0,
+                 "forcing": {"kind": "const", "value": 1.0}}
+
+
+@pytest.mark.parametrize("problem, grid, rank", [(GAUSS_PROBLEM, 101, 20),
+                                                 (GAUSS_PROBLEM, 11, None), (TS_PROBLEM, 11, 1)])
+def test_manifest_records_first_factor(tmp_path, problem, grid, rank):
+    # gauss-conv on [0, 1] with kappa = 2 needs r = 20 Taylor features: the
+    # factored path runs on 101 grid points and not on 11 (r > G/2)
+    out = tmp_path / "ff"
+    path = _write_config(tmp_path, problem=problem, grid=grid, out_dir=str(out))
+    assert main(["solve", "--config", str(path)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    factor = summary["first_factor"]
+    if rank is None:
+        assert factor is None
+        return
+    assert factor["rank"] == rank
+    k_sup = abs(problem.get("scale", 1.0))
+    assert factor["eps_K"] <= 1e-17 * k_sup
+    terms = sum(k_sup ** (m - 1) for m in range(1, summary["N"] + 1))
+    assert factor["bias_bound"] == pytest.approx(factor["eps_K"] * terms, rel=1e-12)
+    assert "tail_bound" in summary

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import KernelTimesForcing
 from fredmc.problem import DomainSpec, MeasureSampler, ProblemSpec
+from fredmc.registry import _taylor_rest
 
 
 def _plan(N, eps=0.01):
@@ -181,18 +184,28 @@ def _unfactored(spec):
 
 
 def _factored_case(problem, ts_spec, ts_pnt):
+    """(spec, power norms, grid, budget) of one equivalence case; the gauss
+    cases borrow the t*s power norms, which only set the term counts."""
     if problem == "ts":
-        return ts_spec, ts_pnt, np.linspace(0, 1, 11)
+        return ts_spec, ts_pnt, np.linspace(0, 1, 11), 40_000
     if problem == "const-1d":
         spec = fm.build_problem("constant", {"gamma": 0.3, "forcing": {
             "kind": "poly", "coeffs": [1.0, 0.5, -0.7]}})
-        return spec, fm.power_norms(spec, 10, method="analytic"), np.linspace(0, 1, 11)
+        return spec, fm.power_norms(spec, 10, method="analytic"), np.linspace(0, 1, 11), 40_000
+    if problem == "gauss-1d":  # solve, geometric, integrate and the derivative (dK/dt factors)
+        spec = fm.build_problem("gauss-conv", {"scale": -0.6, "kappa": 2.0, "bounds": [[-0.5, 1.0]],
+                                               "forcing": {"kind": "poly", "coeffs": [1.0, -0.8]}})
+        return spec, ts_pnt, np.linspace(-0.5, 1.0, 21), 40_000
+    if problem == "gauss-2d":  # r = 136 features against G = 21^2 = 441 grid points
+        spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 0.5, "grid": 21,
+                                               "bounds": [[0, 1], [0, 1]]})
+        return spec, ts_pnt, spec.domain.grid(), 6_000
     spec = dataclasses.replace(
         fm.build_problem("constant", {"gamma": 0.3, "bounds": [[0, 1], [0, 1]]}),
         forcing=lambda x: 1.0 + np.asarray(x)[..., 0] * np.asarray(x)[..., 1])
     axis = np.linspace(0, 1, 3)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    return spec, fm.power_norms(spec, 10, method="analytic"), grid
+    return spec, fm.power_norms(spec, 10, method="analytic"), grid, 40_000
 
 
 def _assert_rel_close(fast, general):
@@ -201,24 +214,43 @@ def _assert_rel_close(fast, general):
     np.testing.assert_allclose(fast, general, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("problem", ["ts", "const-1d", "const-2d"])
-def test_factored_first_factor_matches_general_runner(problem, ts_spec, ts_pnt):
-    spec, pnt, grid = _factored_case(problem, ts_spec, ts_pnt)
-    general = _unfactored(spec)
-    alloc = fm.optimal_allocation(pnt, 4, 40_000)
+def _assert_cov_close(fast, general):
+    # an off-diagonal co-moment of far-apart grid points cancels to near
+    # zero, where two orders of rounding cannot agree to 1e-12 relative:
+    # hold it to 1e-12 of its Cauchy-Schwarz scale sqrt(M_tt M_ss) instead
+    _assert_rel_close(np.diag(fast), np.diag(general))
+    scale = np.sqrt(np.outer(np.diag(general), np.diag(general)))
+    assert np.all(np.abs(fast - general) <= 1e-12 * scale)
+
+
+def _factored_runs(spec, pnt, grid, n):
+    """Every engine on one problem, with covariance where it has one."""
+    alloc = fm.optimal_allocation(pnt, 4, n)
     runs = [lambda sp: fm.solve_fredholm_mc(sp, _plan(4), alloc, grid, 13,
                                             collect_covariance=True),
-            lambda sp: fm.solve_geometric(sp, 0.5, 8, 40_000, grid, 13, pnt=pnt)]
+            lambda sp: fm.solve_geometric(sp, 0.5, 8, n, grid, 13, pnt=pnt),
+            lambda sp: fm.estimate_parametric_integral(KernelTimesForcing(sp), sp.mu, sp.domain,
+                                                       grid, n, 13, collect_covariance=True)]
     if spec.domain.dim == 1:
         runs.append(lambda sp: fm.derivative_solve(sp, _plan(4), alloc, grid, 13,
                                                    collect_covariance=True))
-    for run in runs:
+    return runs
+
+
+@pytest.mark.parametrize("problem", ["ts", "const-1d", "const-2d", "gauss-1d", "gauss-2d"])
+def test_factored_first_factor_matches_general_runner(problem, ts_spec, ts_pnt):
+    spec, pnt, grid, n = _factored_case(problem, ts_spec, ts_pnt)
+    general = _unfactored(spec)
+    # the rank-1 factors are exact: their co-moments are products, no cancellation
+    cov_close = _assert_cov_close if problem.startswith("gauss") else _assert_rel_close
+    for run in _factored_runs(spec, pnt, grid, n):
         a, b = run(spec), run(general)
+        assert a.factor_rank is not None and b.factor_rank is None
         _assert_rel_close(a.values, b.values)
         _assert_rel_close(a.pointwise_var, b.pointwise_var)
         _assert_rel_close(a.per_term, b.per_term)
         for tm_a, tm_b in zip(a.moments or [], b.moments or [], strict=True):
-            _assert_rel_close(tm_a.m2_full, tm_b.m2_full)
+            cov_close(tm_a.m2_full, tm_b.m2_full)
 
 
 def test_factored_first_factor_rejects_nonfinite_a(ts_spec, ts_pnt):
@@ -234,6 +266,70 @@ def test_factored_first_factor_rejects_nonfinite_a(ts_spec, ts_pnt):
     alloc = fm.optimal_allocation(ts_pnt, 2, 1000)
     with pytest.raises(ValueError, match=r"non-finite first factor at t=\[0\.6\]"):
         fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0, 1, 6), seed=0)
+
+
+def test_factored_path_names_x_for_a_nonfinite_t_free_factor(ts_spec, ts_pnt):
+    # b(x) is NaN above 0.9: the fault does not depend on t, so the message
+    # names x and the t-free factor and no t
+    class NaNAboveNineTenths:
+        def __call__(self, t, s):
+            return ts_spec.kernel(t, s)
+
+        def factors(self):
+            a, b = ts_spec.kernel.factors()
+            return a, (lambda s: np.where(np.asarray(s)[..., 0] > 0.9, np.nan, b(s)))
+
+    spec = dataclasses.replace(ts_spec, kernel=NaNAboveNineTenths())
+    alloc = fm.optimal_allocation(ts_pnt, 2, 1000)
+    with pytest.raises(ValueError, match=r"t-free factor .* at x=\[\[0\.9") as info:
+        fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0.2, 1, 5), seed=0)
+    assert "t=" not in str(info.value)
+
+
+@pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
+@pytest.mark.parametrize("params", [{"scale": 0.4, "kappa": 2.0},
+                                    {"scale": -1.3, "kappa": 8.0, "bounds": [[-0.5, 0.5]]},
+                                    {"scale": 0.7, "kappa": 0.1, "bounds": [[-1.0, 2.0]]}])
+def test_gauss_taylor_bound_holds_on_a_dense_grid(which, params):
+    # |K - A B| on a dense grid of the box stays below the closed-form
+    # remainder bound at every degree up to the one chosen; the float64 sum
+    # of r products adds rounding of up to r * eps * |scale| on top
+    kernel = getattr(fm.build_problem("gauss-conv", params), which)
+    a, b, eps = kernel.factors()
+    lo, hi = kernel.box[0]
+    t, s = np.linspace(lo, hi, 401)[:, None], np.linspace(lo, hi, 397)[:, None]
+    dense = kernel(t[:, None, :], s[None, :, :])
+    rounding = 4 * a.p * np.finfo(float).eps * abs(kernel.scale) * max(1.0, 2 * kernel.kappa)
+    bound = {"kernel": lambda x, h, p: _taylor_rest(x, p),
+             "kernel_dt": lambda x, h, p: 2 * kernel.kappa * h * (_taylor_rest(x, p)
+                                                                  + _taylor_rest(x, p - 1))}[which]
+    h = (hi - lo) / 2
+    assert eps == pytest.approx(abs(kernel.scale) * bound(2 * kernel.kappa * h * h, h, a.p),
+                                rel=1e-12)
+    assert eps <= 1e-17 * abs(kernel.scale)
+    for p in range(1, a.p + 1):
+        a_p, b_p = dataclasses.replace(a, p=p), dataclasses.replace(b, p=p)
+        err = np.max(np.abs(dense - a_p(t) @ b_p(s)))
+        assert err <= abs(kernel.scale) * bound(2 * kernel.kappa * h * h, h, p) + rounding
+    assert np.max(np.abs(dense - a(t) @ b(s))) <= eps + rounding
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(size=st.floats(0.05, 1.2), negative=st.booleans(), kappa=st.floats(0.1, 8.0),
+       lo=st.floats(-1.0, 1.0), width=st.floats(0.2, 1.0))
+def test_gauss_factored_runner_matches_general_runner(ts_pnt, size, negative, kappa, lo, width):
+    # width <= 1 and kappa <= 8 keep r <= 37 <= G/2 (G = 101), so the factored path runs
+    spec = fm.build_problem("gauss-conv", {"scale": -size if negative else size,
+                                           "kappa": kappa, "bounds": [[lo, lo + width]]})
+    grid = np.linspace(lo, lo + width, 17)
+    alloc = fm.optimal_allocation(ts_pnt, 3, 3000)
+    for solver in (fm.solve_fredholm_mc, fm.derivative_solve):
+        a = solver(spec, _plan(3), alloc, grid, 5)
+        b = solver(_unfactored(spec), _plan(3), alloc, grid, 5)
+        assert a.factor_rank is not None and b.factor_rank is None
+        _assert_rel_close(a.values, b.values)
+        _assert_rel_close(a.pointwise_var, b.pointwise_var)
+        _assert_rel_close(a.per_term, b.per_term)
 
 
 def test_per_term_unbiased_against_oracle(ts_spec, ts_pnt):
