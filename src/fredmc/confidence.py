@@ -37,6 +37,8 @@ from .rng import TAG_GAUSS_SIM, substream
 
 C0_BAR = 1.77638        # normalizing constant of the CLT moment profile
 SIM_BATCH = 4096
+_NEG_EIG_TOL = 1e-6     # covariance eigenvalues below -tol * trace raise NotPSD
+_TRACE_CUT = 1e-12      # trace share of the smallest eigenpairs left out of the simulation
 _W_CONVEXITY_TOL = -1e-9
 
 
@@ -91,6 +93,8 @@ class ConfidenceBand:
     n_sim: int = 0
     covariance: Optional[CovarianceModel] = None
     z_bar: Optional[float] = None
+    q: Optional[int] = None                 # gauss-sim: eigenpairs simulated
+    dropped_trace: Optional[float] = None   # gauss-sim: clipped plus cut mass / trace
 
     def to_dict(self, n: Optional[int] = None, kappa_fit: Optional[float] = None,
                 C_fit: Optional[float] = None) -> dict:
@@ -104,6 +108,9 @@ class ConfidenceBand:
         }
         if self.z_bar is not None:
             out["z_bar"] = float(self.z_bar)
+        if self.q is not None:
+            out["q"] = int(self.q)
+            out["dropped_trace"] = float(self.dropped_trace)
         if kappa_fit is not None:
             out["kappa_fit"] = float(kappa_fit)
             out["C_fit"] = float(C_fit)
@@ -217,18 +224,17 @@ def entropy_H(domain: DomainSpec, metric: Metric, eps):
 # gauss-sim band
 
 
-def _factor_with_jitter(Z: np.ndarray) -> np.ndarray:
-    """Cholesky factor of Z plus an escalating ridge: 1e-12 * trace,
-    growing tenfold up to 1e-6 * trace."""
-    trace = float(np.trace(Z))
-    ridge = 1e-12 * trace
-    eye = np.eye(Z.shape[0])
-    while ridge <= 1e-6 * trace * (1 + 1e-12):
-        try:
-            return np.linalg.cholesky(Z + ridge * eye)
-        except np.linalg.LinAlgError:
-            ridge *= 10.0
-    raise NotPSD("covariance not factorizable within the jitter budget")
+def _eigen_factor(Z: np.ndarray, trace: float) -> tuple[np.ndarray, float]:
+    """F (G x q) with F F^T = Z but for the clipped negative eigenvalues
+    and the cut tail, and that dropped mass relative to the trace."""
+    w, V = np.linalg.eigh(Z)
+    if not w[0] >= -_NEG_EIG_TOL * trace:  # also refuses NaN
+        raise NotPSD(f"covariance eigenvalue {w[0]:.3g} < -{_NEG_EIG_TOL:g} * trace {trace:.3g}")
+    clipped = -float(w[w < 0.0].sum())
+    w = np.maximum(w, 0.0)
+    cut = int(np.searchsorted(np.cumsum(w), _TRACE_CUT * trace, side="right"))
+    F = V[:, cut:][:, ::-1] * np.sqrt(w[cut:][::-1])  # leading pair first
+    return F, (clipped + float(w[:cut].sum())) / trace
 
 
 def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: int,
@@ -236,29 +242,31 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
                           return_sims: bool = False):
     """Empirical (1-delta) quantile of sup_t |X(t)| for the centered
     Gaussian field with the plug-in covariance; band half-width is
-    u_delta / sqrt(n).  Simulation runs in fixed-size batches with
-    per-batch substreams and a deterministic merge."""
+    u_delta / sqrt(n).  Each path is q normals times the covariance's eigen
+    factor; fixed-size batches, per-batch substreams, deterministic merge."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
     if delta <= 0.05 and n_sim < 10_000:
         raise ValueError("need n_sim >= 1e4 for delta <= 0.05")
-    Z = cov.Z_hat
-    if float(np.trace(Z)) <= 0.0:
-        sups = np.zeros(n_sim)
+    trace = float(np.trace(cov.Z_hat))
+    if trace <= 0.0:
+        sups, q, dropped = np.zeros(n_sim), 0, 0.0
     else:
-        L = _factor_with_jitter(Z)
+        F, dropped = _eigen_factor(cov.Z_hat, trace)
+        q = F.shape[1]
         chunks = []
         for b in range(0, n_sim, SIM_BATCH):
             rng = substream(seed, TAG_GAUSS_SIM, b // SIM_BATCH)
-            e = rng.standard_normal((min(SIM_BATCH, n_sim - b), Z.shape[0]))
-            chunks.append(np.max(np.abs(e @ L.T), axis=1))
+            x = rng.standard_normal((min(SIM_BATCH, n_sim - b), q)) @ F.T
+            chunks.append(np.max(np.abs(x, out=x), axis=1))
         sups = np.concatenate(chunks)
     u = float(np.quantile(sups, 1.0 - delta))
     band = ConfidenceBand(delta=delta, u_delta=u,
                           half_width=u / math.sqrt(n) if n else None,
-                          method="gauss-sim", n_sim=n_sim, covariance=cov)
+                          method="gauss-sim", n_sim=n_sim, covariance=cov,
+                          q=q, dropped_trace=dropped)
     return (band, sups) if return_sims else band
 
 

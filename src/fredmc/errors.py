@@ -21,7 +21,8 @@ class OracleInfeasible(FredmcError):
 
 
 class NotPSD(FredmcError):
-    """Covariance factorization failed even at the maximum jitter ridge."""
+    """Covariance has an eigenvalue below -1e-6 * trace (or a NaN): too
+    negative to be rounding, so it cannot be clipped to a factor."""
 
 
 class BandTooWide(FredmcError):

@@ -30,6 +30,7 @@ from .rng import TAG_DISTANCE, TAG_NORM_MC, substream
 
 QUAD_NODES = 512         # nodes per dimension for deterministic integrals
 DISTANCE_SAMPLE = 1000   # sample size for the custom-table distance
+_ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk of a grid x sample evaluation
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
     nodes, w = spec.mu.quad_nodes(spec.domain)
     eval_pts = _norm_eval_points(spec, nodes)
     best = 0.0
-    chunk = max(1, int(2e6) // max(1, nodes.shape[0]))
+    chunk = max(1, _ROW_CHUNK_EVALS // max(1, nodes.shape[0]))
     for i in range(0, eval_pts.shape[0], chunk):
         tb = eval_pts[i:i + chunk]
         vals = _kernel_on(spec, which, tb[:, None, :], nodes[None, :, :])
@@ -266,17 +267,22 @@ def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which: str) -> np.nda
 def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) -> np.ndarray:
     """MC upper estimate: the entrywise-absolute chain product dominates
     the absolute iterated kernel, so its dependent-trial average over a
-    grid of t upper-estimates r_m (up to MC noise)."""
+    grid of t upper-estimates r_m (up to MC noise).  The first factor is
+    evaluated in row chunks of the grid, so memory does not grow with G."""
     rng = substream(spec.mu.seed_stream_id, TAG_NORM_MC)
     grid = spec.domain.grid()
+    rows = max(1, _ROW_CHUNK_EVALS // n)
     out = np.empty(m_max)
     for m in range(1, m_max + 1):
         xs = spec.mu.sample(spec.domain, n * m, rng).reshape(n, m, spec.domain.dim)
         chain = np.ones(n)
         for i in range(m - 1):
             chain *= np.abs(_kernel_on(spec, which, xs[:, i, :], xs[:, i + 1, :]))
-        first = np.abs(_kernel_on(spec, which, grid[:, None, :], xs[None, :, 0, :]))
-        out[m - 1] = float(np.max(first @ chain) / n)
+        row_max = []
+        for i in range(0, len(grid), rows):
+            first = np.abs(_kernel_on(spec, which, grid[i:i + rows, None, :], xs[None, :, 0, :]))
+            row_max.append(np.max(first @ chain))
+        out[m - 1] = float(np.max(row_max) / n)
     return out
 
 

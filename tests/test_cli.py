@@ -97,6 +97,15 @@ def test_rate_study_byte_identical_across_workers(tmp_path):
     assert len(rows) == 2 * 2 * 3
 
 
+def test_coverage_study_byte_identical_across_workers(tmp_path):
+    path = _write_config(tmp_path, mode="coverage-study", replications=4, budget=20_000,
+                         epsilon=0.001, out_dir=str(tmp_path / "c1"))
+    assert main(["coverage-study", "--config", str(path), "--workers", "1"]) == 0
+    assert main(["coverage-study", "--config", str(path), "--workers", "2",
+                 "--out", str(tmp_path / "c2")]) == 0
+    assert (tmp_path / "c1" / "coverage.csv").read_bytes() == (tmp_path / "c2" / "coverage.csv").read_bytes()
+
+
 def test_coverage_study_artifacts(tmp_path):
     path = _write_config(tmp_path, mode="coverage-study", replications=4,
                          budget=20_000, epsilon=0.001, out_dir=str(tmp_path / "cov"))
@@ -148,8 +157,12 @@ def test_band_json_schema(tmp_path):
         if b["method"] == "nonasymptotic-psi":
             # u_delta is inverted from the chaining majorant within [2, 1e3] * z_bar
             assert 2 * b["z_bar"] <= b["u_delta"] <= 1e3 * b["z_bar"]
+            assert "q" not in b and "dropped_trace" not in b
         else:
             assert "z_bar" not in b
+            # the t*s plug-in covariance has rank 1: one normal per simulated path
+            assert b["q"] == 1
+            assert 0.0 <= b["dropped_trace"] <= 2e-12
 
 
 @pytest.mark.parametrize("overrides", [

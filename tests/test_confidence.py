@@ -1,11 +1,14 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import fredmc as fm
-from fredmc.confidence import (C0_BAR, PsiFunction, integral_psi, psi_bar, solution_psi)
+from fredmc.confidence import (C0_BAR, PsiFunction, _eigen_factor, integral_psi, psi_bar,
+                               solution_psi)
 from fredmc.estimator import CovarianceModel
 from fredmc.problem import DomainSpec, Metric
 
@@ -251,6 +254,74 @@ def test_not_psd_raises():
     cov = CovarianceModel(t_grid=grid, Z_hat=Z, sigma_plus_sq=1.0)
     with pytest.raises(fm.NotPSD):
         fm.simulate_sup_quantile(cov, 0.1, 1000, seed=0)
+
+
+def test_rank_one_covariance_simulates_one_normal_per_path():
+    # Z = 4ts/45 on 101 points: X(t) = sigma(t) e, so sup |X| = sigma_max |e|
+    # and its (1 - delta) quantile is sigma_max * z_{1 - delta/2}
+    grid = np.linspace(0.0, 1.0, 101)[:, None]
+    Z = 4 * np.outer(grid[:, 0], grid[:, 0]) / 45
+    cov = CovarianceModel(t_grid=grid, Z_hat=Z, sigma_plus_sq=4 / 45)
+    band = fm.simulate_sup_quantile(cov, 0.05, 400_000, seed=9)
+    assert band.q == 1
+    assert 0.0 <= band.dropped_trace <= 1e-12
+    assert band.u_delta == pytest.approx(math.sqrt(4 / 45) * NormalDist().inv_cdf(0.975), rel=0.02)
+
+
+@pytest.fixture(scope="module")
+def gauss_cov(gauss_spec, gauss_pnt):
+    """gauss-conv plug-in covariance on 101 points."""
+    alloc = fm.optimal_allocation(gauss_pnt, 4, 20_000)
+    grid = np.linspace(0, 1, 101)
+    est = fm.solve_fredholm_mc(gauss_spec, fm.TruncationPlan(0.05, 4, 0.0, "fit-based"), alloc,
+                               grid, seed=0, collect_covariance=True)
+    return fm.estimate_covariance(gauss_spec, alloc, grid, est.moments)
+
+
+def test_gauss_conv_covariance_factor(gauss_cov):
+    trace = float(np.trace(gauss_cov.Z_hat))
+    F, dropped = _eigen_factor(gauss_cov.Z_hat, trace)
+    assert F.shape[0] == 101 and 1 <= F.shape[1] <= 8
+    assert 0.0 <= dropped <= 2e-12  # cut tail <= 1e-12, plus clipped rounding-level negatives
+    assert np.linalg.norm(F @ F.T - gauss_cov.Z_hat, 2) <= 1e-12 * trace
+    band = fm.simulate_sup_quantile(gauss_cov, 0.05, 10_000, seed=1)
+    assert (band.q, band.dropped_trace) == (F.shape[1], dropped)
+
+
+def _cov_with_least_eigenvalue(rel):
+    # eigenvalues (1, 0.5, 0.25, 0.1, lam) with lam = rel * trace
+    V, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    pos = np.array([1.0, 0.5, 0.25, 0.1])
+    lam = rel * pos.sum() / (1.0 - rel)
+    Z = (V * np.append(pos, lam)) @ V.T
+    return CovarianceModel(t_grid=np.linspace(0, 1, 5)[:, None], Z_hat=(Z + Z.T) / 2,
+                           sigma_plus_sq=float(np.max(np.diag(Z))))
+
+
+def test_negative_eigenvalue_is_clipped_or_refused():
+    band = fm.simulate_sup_quantile(_cov_with_least_eigenvalue(-1e-7), 0.1, 1000, seed=0)
+    assert band.q == 4
+    assert band.dropped_trace == pytest.approx(1e-7, rel=1e-6)
+    with pytest.raises(fm.NotPSD):
+        fm.simulate_sup_quantile(_cov_with_least_eigenvalue(-1e-5), 0.1, 1000, seed=0)
+
+
+def test_sup_quantile_threads_match_serial(gauss_cov):
+    # more threads than cores and a short switch interval: shared state
+    # between concurrent calls would show as different bits
+    serial, sims = fm.simulate_sup_quantile(gauss_cov, 0.05, 20_000, seed=7, return_sims=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(fm.simulate_sup_quantile, gauss_cov, 0.05, 20_000, 7, None, True)
+                       for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for band, s in results:
+        assert band.u_delta == serial.u_delta
+        assert np.array_equal(s, sims)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fredmc as fm
-from fredmc.problem import DomainSpec, MeasureSampler, Metric, ProblemSpec
+from fredmc.problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric, ProblemSpec,
+                            _power_norms_mc)
+from fredmc.rng import TAG_NORM_MC, substream
 
 
 def test_operator_norm_ts_S(ts_spec):
@@ -72,6 +77,30 @@ def test_submultiplicativity_mc(ts_spec):
     for m in range(1, 4):
         for k in range(1, 3):
             assert r[m + k - 1] <= r[m - 1] * r[k - 1] * 1.05
+
+
+def test_power_norms_mc_rows_are_chunked():
+    # 2-D gauss-conv on a 41^2 grid: unchunked, the first factor, its
+    # absolute value and the 2-D difference array behind it hold four
+    # G x 4096 float arrays (220 MB); chunked, four arrays of one row chunk
+    spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]]})
+    spec = dataclasses.replace(spec, domain=dataclasses.replace(spec.domain, grid_points_per_dim=41))
+    n = 4096
+    tracemalloc.start()
+    try:
+        r = _power_norms_mc(spec, 2, "S", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * _ROW_CHUNK_EVALS < 4 * 8 * n * len(spec.domain.grid())
+    rng = substream(spec.mu.seed_stream_id, TAG_NORM_MC)
+    grid = spec.domain.grid()
+    for m in (1, 2):
+        xs = spec.mu.sample(spec.domain, n * m, rng).reshape(n, m, 2)
+        chain = np.abs(spec.kernel(xs[:, 0, :], xs[:, 1, :])) if m == 2 else np.ones(n)
+        first = np.abs(spec.kernel(grid[:, None, :], xs[None, :, 0, :]))
+        # same products, summed by BLAS in a partition-dependent order
+        assert r[m - 1] == pytest.approx(np.max(first @ chain) / n, rel=n * np.finfo(float).eps)
 
 
 def test_fit_recovers_geometric_decay(ts_pnt):
