@@ -2,10 +2,10 @@
 
 The solution of ``y = f + S[y]`` expands as ``y = f + sum_m S^m[f]``.
 This module picks the truncation level N so the dropped tail is below a
-target ``epsilon``, and evaluates ``S^m[f]`` and the truncated solution
-``y^(N) = f + sum_{m<=N} S^m[f]`` by nested midpoint quadrature.  The
-oracle is desk-scale by design (1-D, m <= 12): it exists to verify the
-Monte-Carlo engines, not to replace them.
+target ``epsilon``.  One series loop over the quadrature operator that
+also gives the power norms (``problem.quadrature_operator``) evaluates
+``S^m[f]``, the truncated solution and the damped series.  The oracle is
+desk-scale by design (1-D, m <= 12): it verifies the Monte-Carlo engines.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractivityError, OracleInfeasible
-from .problem import PowerNormTable, ProblemSpec
+from .problem import PowerNormTable, ProblemSpec, quadrature_operator
 
 _TAIL_TERM_FLOOR = 1e-18
 _MAX_TAIL_TERMS = 200000
@@ -89,15 +89,6 @@ def choose_truncation(pnt: PowerNormTable, f_norm: float, epsilon: float,
     return TruncationPlan(epsilon=epsilon, N=N, tail_bound=tail(N), source=source)
 
 
-def _quad_matrices(spec: ProblemSpec, t_grid: np.ndarray):
-    nodes, w = spec.mu.quad_nodes(spec.domain)
-    A = np.asarray(spec.kernel(nodes[:, None, :], nodes[None, :, :]), dtype=float) * w
-    E = np.asarray(spec.kernel(t_grid[:, None, :], nodes[None, :, :]), dtype=float) * w
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(E))):
-        raise ValueError("non-finite kernel value at a quadrature node")
-    return nodes, A, E
-
-
 def _as_points(spec: ProblemSpec, t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim == 1:
@@ -107,62 +98,66 @@ def _as_points(spec: ProblemSpec, t_grid) -> np.ndarray:
     return t
 
 
+def _series(spec: ProblemSpec, t: np.ndarray, m_max: int, cap: int = 12):
+    """Yield S^m[f](t) = E A^(m-1) f(x) for m = 1..m_max on one quadrature
+    operator (E = w K(t, x), A = w K(x, x)); O(h^2) accurate for C^2
+    kernels.  Above 1-D only m = 1, a streamed pass over E, is feasible."""
+    if m_max > cap or (spec.domain.dim > 1 and m_max > 1):
+        raise OracleInfeasible(f"oracle supports m <= {cap} and dim = 1 for m > 1 "
+                               f"(got m={m_max}, dim={spec.domain.dim})")
+    nodes, A, rows = quadrature_operator(spec, t, node_matrix=m_max > 1)
+    E = [r["S"] for r in rows] if m_max > 1 else (r["S"] for r in rows)
+    g = np.asarray(spec.forcing(nodes), dtype=float)
+    for m in range(1, m_max + 1):
+        if m > 1:
+            g = A["S"] @ g
+        yield np.concatenate([e @ g for e in E])
+
+
 def apply_power_quadrature(spec: ProblemSpec, m: int, t_grid) -> np.ndarray:
     """S^m[f] on the grid by (m-1) kernel-matrix applications plus one
-    evaluation row; O(h^2) accurate for C^2 kernels."""
+    evaluation row."""
     t = _as_points(spec, t_grid)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > 12 or (spec.domain.dim > 1 and m > 1):
-        raise OracleInfeasible(f"oracle supports m <= 12 and dim = 1 for m > 1 (got m={m}, dim={spec.domain.dim})")
-    nodes, A, E = _quad_matrices(spec, t)
-    g = np.asarray(spec.forcing(nodes), dtype=float)
-    for _ in range(m - 1):
-        g = A @ g
-    return E @ g
+    *_, last = _series(spec, t, m)
+    return last
 
 
 def truncated_solution_oracle(spec: ProblemSpec, plan: TruncationPlan, t_grid) -> np.ndarray:
     """y^(N) = f + sum_{m=1}^{N} S^m[f] on the grid, deterministically."""
     t = _as_points(spec, t_grid)
-    if plan.N > 12 or (spec.domain.dim > 1 and plan.N > 1):
-        raise OracleInfeasible(f"oracle supports N <= 12 and dim = 1 (got N={plan.N}, dim={spec.domain.dim})")
-    nodes, A, E = _quad_matrices(spec, t)
-    g = np.asarray(spec.forcing(nodes), dtype=float)
-    acc = g.copy()
-    for _ in range(plan.N - 1):
-        g = A @ g
-        acc += g
-    return np.asarray(spec.forcing(t), dtype=float) + E @ acc
+    return np.asarray(spec.forcing(t), dtype=float) + sum(_series(spec, t, plan.N))
 
 
 def damped_solution_oracle(spec: ProblemSpec, lam: float, t_grid, tol: float = 1e-10,
                            max_terms: int = 200) -> np.ndarray:
     """Solution of the damped equation y = f + lam * S[y], i.e.
     f + sum_m lam^m S^m[f], summed until the term norm falls below tol.
-    Reference for the geometric-randomization estimator."""
+    Reference for the geometric-randomization estimator and, at lam = 1,
+    for the solver."""
     t = _as_points(spec, t_grid)
-    nodes, A, E = _quad_matrices(spec, t)
-    g = np.asarray(spec.forcing(nodes), dtype=float)
     y = np.asarray(spec.forcing(t), dtype=float)
     scale = 1.0
-    for _ in range(max_terms):
+    for term in _series(spec, t, max_terms, cap=max_terms):
         scale *= lam
-        term = scale * (E @ g)
+        term = scale * term
         y = y + term
         if np.max(np.abs(term)) < tol:
             return y
-        g = A @ g
     raise ContractivityError(f"damped series did not converge (lam={lam})")
 
 
 def export_power_csv(path, spec: ProblemSpec, t_grid, m_list) -> None:
-    """Write S^m[f] values: columns t_1..t_dim, m, value."""
+    """Write S^m[f] values: columns t_1..t_dim, m, value (one operator for
+    every m)."""
     t = _as_points(spec, t_grid)
+    if min(m_list, default=1) < 1:
+        raise ValueError("m must be >= 1")
+    terms = list(_series(spec, t, max(m_list, default=0)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"t_{i + 1}" for i in range(spec.domain.dim)] + ["m", "value"])
         for m in m_list:
-            vals = apply_power_quadrature(spec, m, t)
-            for row, v in zip(t, vals):
+            for row, v in zip(t, terms[m - 1]):
                 writer.writerow([repr(float(c)) for c in row] + [m, repr(float(v))])

@@ -20,6 +20,7 @@ returns shape ``(...)``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -192,96 +193,98 @@ class PowerNormTable:
 # quadrature helpers
 
 
-def _norm_eval_points(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
-    """Points over which operator-norm suprema are taken.
-
-    In 1-D this is the quadrature node set plus the box endpoints: the
-    nodes keep r_1 on the same path as the quadrature integral (and make
-    the discrete power-norm sequence exactly submultiplicative), the
-    endpoints catch suprema of monotone kernels.  Above 1-D the output
-    grid is used.
+def quadrature_operator(spec: ProblemSpec, t: Optional[np.ndarray] = None, which=("S",),
+                        node_matrix: bool = False):
+    """The one Nystrom discretization of S and U (kernel K*K): the
+    ``QUAD_NODES`` midpoint nodes x and their weight w, a power of two, so
+    weighting keeps bits.  Returns ``(nodes, A, rows)``: ``rows`` yields
+    ``{L: w * K_L(t_c, x)}`` for L in ``which`` over row chunks t_c of
+    ``t`` of about ``_ROW_CHUNK_EVALS`` kernel values, one kernel call per
+    chunk; with ``node_matrix``, ``A[L] = w * K_L(x, x)`` comes from the
+    first call.  ``t`` defaults to the operator-norm points: in 1-D the
+    nodes (r_1 on the path of the quadrature integral, r_m exactly
+    submultiplicative) plus the box ends (suprema of monotone kernels),
+    above 1-D the output grid.
     """
-    if spec.domain.dim == 1:
-        ends = np.array([[spec.domain.bounds[0][0]], [spec.domain.bounds[0][1]]])
-        pts = np.concatenate([nodes, ends], axis=0)
-        return np.unique(pts, axis=0)
-    return spec.domain.grid()
+    nodes, w = spec.mu.quad_nodes(spec.domain)
+    n = len(nodes)
+    if t is None:
+        t = (np.unique(np.concatenate([nodes, np.array(spec.domain.bounds).T]), axis=0)
+             if spec.domain.dim == 1 else spec.domain.grid())
+    pts = np.concatenate([nodes, t]) if node_matrix else t
+    step = max(_ROW_CHUNK_EVALS // n, n if node_matrix else 1)
 
+    def weighted(p: np.ndarray) -> dict:
+        k = np.asarray(spec.kernel(p[:, None, :], nodes[None, :, :]), dtype=float)
+        out = {L: w * (k * k if L == "U" else k) for L in which}
+        for v in out.values():
+            if not np.all(np.isfinite(v)):
+                i, j = np.argwhere(~np.isfinite(v))[0]
+                raise ValueError(f"non-finite kernel value at node index {j}, point t={p[i]}, "
+                                 f"s={nodes[j]}")
+        return out
 
-def _check_finite(vals: np.ndarray, where: str, pts: np.ndarray) -> None:
-    if np.all(np.isfinite(vals)):
-        return
-    bad = np.argwhere(~np.isfinite(vals))[0]
-    raise ValueError(f"non-finite kernel value during {where} at node index {tuple(bad)}, "
-                     f"point {pts[bad[-1] % len(pts)]}")
-
-
-def _kernel_on(spec: ProblemSpec, which: str, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    k = np.asarray(spec.kernel(t, s), dtype=float)
-    if which == "U":
-        k = k * k
-    return k
+    rows = (weighted(pts[lo:lo + step]) for lo in range(0, len(pts), step))
+    if not node_matrix:
+        return nodes, {}, rows
+    head = next(rows)
+    return (nodes, {L: v[:n] for L, v in head.items()},
+            itertools.chain([{L: v[n:] for L, v in head.items()}], rows))
 
 
 def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
     """Sup-norm of the integral operator: sup_t int |K(t,s)| mu(ds)
-    (kernel K^2 for which="U"), by composite midpoint quadrature."""
+    (kernel K^2 for which="U"), the r_1 of the quadrature power norms."""
     if which not in ("S", "U"):
         raise ValueError("which must be 'S' or 'U'")
-    nodes, w = spec.mu.quad_nodes(spec.domain)
-    eval_pts = _norm_eval_points(spec, nodes)
-    best = 0.0
-    chunk = max(1, _ROW_CHUNK_EVALS // max(1, nodes.shape[0]))
-    for i in range(0, eval_pts.shape[0], chunk):
-        tb = eval_pts[i:i + chunk]
-        vals = _kernel_on(spec, which, tb[:, None, :], nodes[None, :, :])
-        _check_finite(vals, f"operator_norm({which})", nodes)
-        best = max(best, float(np.max(np.abs(vals).sum(axis=1) * w)))
-    return best
+    return float(_power_norms_quadrature(spec, 1, (which,))[which][0])
 
 
-def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which: str) -> np.ndarray:
-    """r_m via matrix powers of the discretized kernel on the quad grid.
+def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")) -> dict:
+    """r_m(L) for L in ``which`` via matrix powers of the quadrature operator.
 
-    With nodes x_k and weight w, G_1[i,l] = K(t_i, x_l) on the norm-eval
-    grid and G_{m+1} = G_m @ (w * K(x, x)); then
-    r_m = max_i sum_l |G_m[i,l]| * w, the sup-row-sum of the iterated
-    kernel.  The absolute value sits outside the chain, so this is the
-    true operator norm of S^m, not a product bound.
+    With E_1 = w * K_L(t, x) on the operator-norm points and
+    E_{m+1} = E_m @ A_L, r_m = max_i sum_l |E_m[i,l]|, the sup-row-sum of
+    the iterated kernel.  The absolute value sits outside the chain, so
+    this is the true operator norm of L^m, not a product bound.
     """
-    nodes, w = spec.mu.quad_nodes(spec.domain)
-    eval_pts = _norm_eval_points(spec, nodes)
-    Mq = _kernel_on(spec, which, nodes[:, None, :], nodes[None, :, :])
-    _check_finite(Mq, f"power_norms({which})", nodes)
-    G = _kernel_on(spec, which, eval_pts[:, None, :], nodes[None, :, :])
-    _check_finite(G, f"power_norms({which})", eval_pts)
-    P = w * Mq
-    out = np.empty(m_max)
-    for m in range(m_max):
-        out[m] = float(np.max(np.abs(G).sum(axis=1) * w))
-        if m + 1 < m_max:
-            G = G @ P
-    return out
+    _, A, rows = quadrature_operator(spec, which=which, node_matrix=m_max > 1)
+    r = {L: np.zeros(m_max) for L in which}
+    for chunk in rows:
+        for L, E in chunk.items():
+            for m in range(m_max):
+                r[L][m] = max(r[L][m], float(np.max(np.abs(E).sum(axis=1))))
+                if m + 1 < m_max:
+                    E = E @ A[L]
+    return r
 
 
 def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) -> np.ndarray:
     """MC upper estimate: the entrywise-absolute chain product dominates
     the absolute iterated kernel, so its dependent-trial average over a
     grid of t upper-estimates r_m (up to MC noise).  The first factor is
-    evaluated in row chunks of the grid, so memory does not grow with G."""
+    evaluated in row chunks of the grid, so memory does not grow with G,
+    and each row is reduced by numpy's pairwise sum, whose order does not
+    depend on the number of BLAS threads."""
     rng = substream(spec.mu.seed_stream_id, TAG_NORM_MC)
     grid = spec.domain.grid()
     rows = max(1, _ROW_CHUNK_EVALS // n)
+
+    def abs_kernel(t, s):
+        k = np.abs(np.asarray(spec.kernel(t, s), dtype=float))
+        return np.square(k, out=k) if which == "U" else k
+
     out = np.empty(m_max)
     for m in range(1, m_max + 1):
         xs = spec.mu.sample(spec.domain, n * m, rng).reshape(n, m, spec.domain.dim)
         chain = np.ones(n)
         for i in range(m - 1):
-            chain *= np.abs(_kernel_on(spec, which, xs[:, i, :], xs[:, i + 1, :]))
+            chain *= abs_kernel(xs[:, i, :], xs[:, i + 1, :])
         row_max = []
         for i in range(0, len(grid), rows):
-            first = np.abs(_kernel_on(spec, which, grid[i:i + rows, None, :], xs[None, :, 0, :]))
-            row_max.append(np.max(first @ chain))
+            first = abs_kernel(grid[i:i + rows, None, :], xs[None, :, 0, :])
+            first *= chain
+            row_max.append(np.max(first.sum(axis=1)))
         out[m - 1] = float(np.max(row_max) / n)
     return out
 
@@ -325,8 +328,8 @@ def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") 
             raise ValueError("quadrature power norms need dim=1; use method='mc'")
         if m_max > 12:
             raise ValueError("quadrature power norms are desk-scale: m_max <= 12")
-        r_S = _power_norms_quadrature(spec, m_max, "S")
-        r_U = _power_norms_quadrature(spec, m_max, "U")
+        r = _power_norms_quadrature(spec, m_max)
+        r_S, r_U = r["S"], r["U"]
     elif method == "mc":
         r_S = _power_norms_mc(spec, m_max, "S")
         r_U = _power_norms_mc(spec, m_max, "U")

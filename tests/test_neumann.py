@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fredmc as fm
-from fredmc.neumann import _tail_sum
+from fredmc.cli import _reference_solution
+from fredmc.neumann import _tail_sum, export_power_csv
 from fredmc.problem import Fit, PowerNormTable
 
 
@@ -142,8 +145,83 @@ def test_damped_solution_oracle(const_spec):
 
 def test_export_power_csv(tmp_path, ts_spec):
     path = tmp_path / "powers.csv"
-    from fredmc.neumann import export_power_csv
     export_power_csv(path, ts_spec, np.linspace(0, 1, 3), [1, 2])
     lines = path.read_text().splitlines()
     assert lines[0] == "t_1,m,value"
     assert len(lines) == 1 + 3 * 2
+
+
+def _counting_kernel(spec):
+    calls = []
+
+    def kernel(t, s):
+        calls.append(np.broadcast_shapes(np.shape(t)[:-1], np.shape(s)[:-1]))
+        return spec.kernel(t, s)
+    return dataclasses.replace(spec, kernel=kernel), calls
+
+
+def test_export_power_csv_builds_the_operator_once(tmp_path, gauss_spec):
+    spec, calls = _counting_kernel(gauss_spec)
+    grid = np.linspace(0, 1, 7)
+    path = tmp_path / "powers.csv"
+    export_power_csv(path, spec, grid, [3, 1, 2])
+    assert len(calls) == 1
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [3] * 7 + [1] * 7 + [2] * 7
+    for k, m in enumerate((3, 1, 2)):
+        expected = fm.apply_power_quadrature(gauss_spec, m, grid)
+        assert [float(r[2]) for r in rows[7 * k:7 * (k + 1)]] == expected.tolist()
+
+
+def test_oracle_names_the_point_of_a_nonfinite_kernel_value(ts_spec):
+    node = 153.5 / 512  # quadrature node 153 of [0, 1]
+
+    def kernel(t, s):
+        t, s = np.asarray(t), np.asarray(s)
+        return np.where(np.abs(s[..., 0] - node) < 1e-12, np.nan, 0.5) + 0.0 * t[..., 0]
+
+    spec = dataclasses.replace(ts_spec, kernel=kernel)
+    plan = fm.TruncationPlan(0.01, 3, 0.0, "fit-based")
+    with pytest.raises(ValueError, match=r"non-finite kernel value .*node index 153, point t=.*, "
+                                         r"s=\[0\.29980469\]"):
+        fm.truncated_solution_oracle(spec, plan, np.linspace(0, 1, 5))
+
+
+def test_first_power_above_1d_streams_row_chunks():
+    # 25 grid points x 512^2 nodes: the evaluation row is applied chunk by
+    # chunk; no node matrix is built
+    spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 5})
+    spec2d, calls = _counting_kernel(spec2d)
+    vals = fm.apply_power_quadrature(spec2d, 1, spec2d.domain.grid())
+    assert np.all(vals == 0.5)
+    assert max(shape[0] * shape[1] for shape in calls) <= 2_000_000
+
+
+def test_damped_oracle_refuses_nested_quadrature_above_1d():
+    spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 5})
+    with pytest.raises(fm.OracleInfeasible):
+        fm.damped_solution_oracle(spec2d, 0.5, spec2d.domain.grid())
+
+
+def _nystrom_solve(spec, t):
+    # independent dense reference: y(t) = f(t) + E (I - A)^-1 f(x) on the
+    # midpoint nodes x, E = w K(t, x), A = w K(x, x)
+    nodes, w = spec.mu.quad_nodes(spec.domain)
+    A = w * spec.kernel(nodes[:, None, :], nodes[None, :, :])
+    E = w * spec.kernel(t[:, None, :], nodes[None, :, :])
+    y_nodes = np.linalg.solve(np.eye(len(nodes)) - A, spec.forcing(nodes))
+    return spec.forcing(t) + E @ y_nodes
+
+
+def test_reference_is_the_uncapped_nystrom_solution(gauss_spec):
+    # gauss-conv wants N = 16 at a 1e-8 tail; a series cut at N = 12 is 3.8e-7 off
+    grid = gauss_spec.domain.grid()
+    ref = _reference_solution(gauss_spec)
+    assert np.max(np.abs(ref - _nystrom_solve(gauss_spec, grid))) <= 1e-12
+
+
+def test_reference_refuses_a_divergent_series():
+    spec = fm.build_problem("gauss-conv", {"scale": 2.0, "kappa": 2.0,
+                                           "forcing": {"kind": "const", "value": 1.0}})
+    with pytest.raises(fm.ContractivityError):
+        _reference_solution(spec)

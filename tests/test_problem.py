@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,42 @@ def test_power_norms_mc_rows_are_chunked():
         first = np.abs(spec.kernel(grid[:, None, :], xs[None, :, 0, :]))
         # same products, summed by BLAS in a partition-dependent order
         assert r[m - 1] == pytest.approx(np.max(first @ chain) / n, rel=n * np.finfo(float).eps)
+
+
+_MC_BITS = """
+import fredmc as fm
+from fredmc.problem import _power_norms_mc
+spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]],
+                                       "grid": 21})
+print([float(r).hex() for L in ("S", "U") for r in _power_norms_mc(spec, 3, L)])
+"""
+
+
+def test_power_norms_mc_bits_do_not_depend_on_blas_threads():
+    # 2-D gauss-conv on the 21^2 grid; a BLAS gemv over the rows moved r_3(S)
+    # and r_2(U) by one ulp between one and two BLAS threads
+    src = str(Path(fm.__file__).resolve().parents[1])
+
+    def bits(threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-c", _MC_BITS], env=env, capture_output=True,
+                              text=True, check=True, timeout=300).stdout
+
+    one = bits(1)
+    assert one.startswith("['0x") and one == bits(2)
+
+
+def test_power_norms_evaluate_the_kernel_once(gauss_spec, gauss_pnt):
+    calls = []
+
+    def kernel(t, s):
+        calls.append(1)
+        return gauss_spec.kernel(t, s)
+
+    pnt = fm.power_norms(dataclasses.replace(gauss_spec, kernel=kernel), 12, "quadrature")
+    assert len(calls) == 1
+    assert np.array_equal(pnt.r_S, gauss_pnt.r_S) and np.array_equal(pnt.r_U, gauss_pnt.r_U)
 
 
 def test_fit_recovers_geometric_decay(ts_pnt):
