@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ MODES = ("solve", "integrate", "derivative", "geometric", "allocate-only",
          "rate-study", "coverage-study")
 _SUBCOMMAND_MODE = {"allocate": "allocate-only"}
 DEFAULT_BUDGETS = (1_000, 10_000, 100_000, 1_000_000)
+# BLAS thread settings as the run saw them: some covariance and gauss-sim
+# bits depend on the BLAS thread count, so the manifest records it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -208,7 +212,8 @@ def _write_manifest(out, cfg: ExperimentConfig, artifacts, summary, t0) -> None:
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "versions": {"fredmc": __version__, "python": sys.version.split()[0],
-                     "numpy": np.__version__},
+                     "numpy": np.__version__,
+                     "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}},
         "wall_time_s": round(time.monotonic() - t0, 3),
         "artifacts": sorted(artifacts),
         "summary": summary,

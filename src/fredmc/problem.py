@@ -240,22 +240,44 @@ def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
     return float(_power_norms_quadrature(spec, 1, (which,))[which][0])
 
 
-def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")) -> dict:
-    """r_m(L) for L in ``which`` via matrix powers of the quadrature operator.
+def _one_signed(a: np.ndarray) -> bool:
+    return bool(np.all(a >= 0) or np.all(a <= 0))
 
-    With E_1 = w * K_L(t, x) on the operator-norm points and
-    E_{m+1} = E_m @ A_L, r_m = max_i sum_l |E_m[i,l]|, the sup-row-sum of
-    the iterated kernel.  The absolute value sits outside the chain, so
-    this is the true operator norm of L^m, not a product bound.
+
+def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")) -> dict:
+    """r_m(L) for L in ``which`` from the quadrature operator.
+
+    With E_1 = w * K_L(t, x) on the operator-norm points and A_L the node
+    matrix, r_m = max_i sum_l |E_1 A_L^(m-1)|[i,l], the sup-row-sum of the
+    iterated kernel.  The absolute value sits outside the chain, so this is
+    the true operator norm of L^m, not a product bound.  When A_L and a row
+    chunk of E_1 each have one sign, |E_1 A^(m-1)| = |E_1| |A|^(m-1)
+    entrywise, so the row sums are |E_1| g_m with the vector chain g_1 = 1,
+    g_{m+1} = |A| g_m.  U (kernel K*K) always has one sign; a mixed-sign S
+    keeps the matrix powers E_{m+1} = E_m @ A_L.  Each chain product is an
+    elementwise product reduced by numpy's pairwise row sum, whose order
+    does not depend on the number of BLAS threads.
     """
     _, A, rows = quadrature_operator(spec, which=which, node_matrix=m_max > 1)
+    chains = {}  # L -> [g_2, ..., g_{m_max}] for one-signed A_L
+    for L, a in A.items():
+        if _one_signed(a):
+            a, g = np.abs(a), [np.ones(len(a))]
+            for _ in range(m_max - 1):
+                g.append((a * g[-1]).sum(axis=1))
+            chains[L] = g[1:]
     r = {L: np.zeros(m_max) for L in which}
     for chunk in rows:
         for L, E in chunk.items():
-            for m in range(m_max):
-                r[L][m] = max(r[L][m], float(np.max(np.abs(E).sum(axis=1))))
-                if m + 1 < m_max:
+            absE = np.abs(E)
+            r[L][0] = max(r[L][0], float(np.max(absE.sum(axis=1))))
+            if L in chains and _one_signed(E):
+                for m, g in enumerate(chains[L], start=1):
+                    r[L][m] = max(r[L][m], float(np.max((absE * g).sum(axis=1))))
+            else:
+                for m in range(1, m_max):
                     E = E @ A[L]
+                    r[L][m] = max(r[L][m], float(np.max(np.abs(E).sum(axis=1))))
     return r
 
 

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fredmc
 from fredmc.cli import main, validate_and_echo
 
 TS_PROBLEM = {"name": "separable-poly", "a": [0.0, 1.0], "b": [0.0, 1.0],
@@ -63,6 +68,26 @@ def test_allocate_only_artifacts(tmp_path):
     assert manifest["config"]["mode"] == "allocate-only"
     # the manifest config re-validates: enough to re-run the experiment
     validate_and_echo(manifest["config"], echo=False)
+
+
+def test_manifest_records_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = _write_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["allocate", "--config", str(path)]) == 0
+    versions = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]
+    assert versions["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                                        "MKL_NUM_THREADS": None}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(fredmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "fredmc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fredmc") and "coverage-study" in done.stdout
 
 
 def test_solve_constant_fixture_exact_csv(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import fredmc as fm
 from fredmc.problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric, ProblemSpec,
-                            _power_norms_mc)
+                            _power_norms_mc, _power_norms_quadrature, quadrature_operator)
 from fredmc.rng import TAG_NORM_MC, substream
 
 
@@ -107,18 +107,61 @@ def test_power_norms_mc_rows_are_chunked():
         assert r[m - 1] == pytest.approx(np.max(first @ chain) / n, rel=n * np.finfo(float).eps)
 
 
+def _dense_power_norms(spec, m_max):
+    # the matrix powers E_{m+1} = E_m @ A, reduced by absolute row sums
+    _, A, rows = quadrature_operator(spec, which=("S", "U"), node_matrix=True)
+    E = next(rows)
+    r = {L: [] for L in E}
+    for L in E:
+        for _ in range(m_max):
+            r[L].append(float(np.max(np.abs(E[L]).sum(axis=1))))
+            E[L] = E[L] @ A[L]
+    return {L: np.array(v) for L, v in r.items()}
+
+
+@pytest.mark.parametrize("spec", [
+    fm.fixture_constant_half(), fm.fixture_ts(), fm.fixture_gauss(),
+    fm.build_problem("gauss-conv", {"scale": -0.4, "kappa": 2.0})],
+    ids=["constant", "ts", "gauss", "gauss-negative"])
+def test_power_norms_vector_chain_matches_matrix_powers(spec):
+    # one-signed kernels: |E A^(m-1)| = |E| |A|^(m-1), so the vector chain
+    # sums the same positive terms as the matrix powers, in another order
+    ref = _dense_power_norms(spec, 12)
+    r = fm.power_norms(spec, 12, "quadrature")
+    for L, got in (("S", r.r_S), ("U", r.r_U)):
+        assert got[0] == ref[L][0]
+        np.testing.assert_allclose(got, ref[L], rtol=1e-14, atol=0)
+
+
+def test_mixed_sign_S_keeps_matrix_powers_and_U_takes_the_chain():
+    # K(t, s) = (t - 1/2) s changes sign, K*K does not
+    spec = fm.build_problem("separable-poly", {"a": [-0.5, 1.0], "b": [0.0, 1.0]})
+    r = _power_norms_quadrature(spec, 12)
+    assert np.array_equal(r["S"], _dense_power_norms(spec, 12)["S"])
+    _, A, rows = quadrature_operator(spec, which=("U",), node_matrix=True)
+    absA, absE = np.abs(A["U"]), np.abs(next(rows)["U"])
+    g, chain = np.ones(len(absA)), [float(np.max(absE.sum(axis=1)))]
+    for _ in range(11):
+        g = (absA * g).sum(axis=1)
+        chain.append(float(np.max((absE * g).sum(axis=1))))
+    assert np.array_equal(r["U"], chain)
+
+
 _MC_BITS = """
 import fredmc as fm
 from fredmc.problem import _power_norms_mc
 spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]],
                                        "grid": 21})
 print([float(r).hex() for L in ("S", "U") for r in _power_norms_mc(spec, 3, L)])
+pnt = fm.power_norms(fm.fixture_gauss(), 12, "quadrature")
+print([float(r).hex() for r in (*pnt.r_S, *pnt.r_U)])
 """
 
 
 def test_power_norms_mc_bits_do_not_depend_on_blas_threads():
-    # 2-D gauss-conv on the 21^2 grid; a BLAS gemv over the rows moved r_3(S)
-    # and r_2(U) by one ulp between one and two BLAS threads
+    # MC norms of 2-D gauss-conv on the 21^2 grid (a BLAS gemv over the rows
+    # moved r_3(S) and r_2(U) by one ulp between one and two BLAS threads)
+    # and the quadrature norms of 1-D gauss-conv
     src = str(Path(fm.__file__).resolve().parents[1])
 
     def bits(threads):
