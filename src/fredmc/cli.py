@@ -35,7 +35,7 @@ from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
                      NotPSD, OracleInfeasible, UnsupportedDerivative)
 from .estimator import (EstimateTable, derivative_solve, estimate_covariance,
                         estimate_parametric_integral, solve_fredholm_mc, solve_geometric)
-from .neumann import choose_truncation, damped_solution_oracle, truncated_solution_oracle
+from .neumann import choose_truncation, damped_solution_oracle
 from .problem import ProblemSpec, power_norms
 from .registry import build_problem, exact_solution
 
@@ -283,7 +283,7 @@ def _run_allocate(cfg: ExperimentConfig, out, t0) -> int:
     pnt, plan, alloc = _pipeline(cfg, spec)
     alloc.to_json(out / "allocation.json")
     _write_manifest(out, cfg, ["allocation.json"],
-                    {"N": plan.N, "tail_bound": plan.tail_bound,
+                    {"N": plan.N, "tail_bound": plan.tail_bound, "tail_basis": plan.basis,
                      "beta_S": pnt.fit_s.beta, "beta_U": pnt.fit.beta,
                      "phi_predicted": alloc.phi_predicted}, t0)
     print(f"allocate-only: N={plan.N} cost_B={alloc.cost_B} phi={alloc.phi_predicted:.6g}")
@@ -317,8 +317,7 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
         est = solver(spec, plan, alloc, grid, cfg.seed, collect_covariance=collect)
         bands, cov = _bands_for(cfg, spec, alloc, est, cfg.budget)
-        summary["N"] = plan.N
-        summary["tail_bound"] = plan.tail_bound
+        summary.update(N=plan.N, tail_bound=plan.tail_bound, tail_basis=plan.basis)
     if est.mode != "geometric":
         summary["first_factor"] = _first_factor_summary(spec, est)
 

@@ -6,8 +6,8 @@ class FredmcError(Exception):
 
 
 class ContractivityError(FredmcError):
-    """The fitted geometric decay rate of the operator powers is >= 1,
-    so the Neumann series cannot be certified to converge."""
+    """No tabulated r_k^(1/k) lies below 1, or a series did not converge:
+    the Neumann series cannot be certified to converge."""
 
 
 class BudgetError(FredmcError):

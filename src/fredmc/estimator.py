@@ -34,7 +34,8 @@ import numpy as np
 from .allocation import BudgetAllocation, counts_from_weights
 from .errors import BudgetError, ContractivityError, UnsupportedDerivative
 from .neumann import TruncationPlan, _as_points
-from .problem import DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec, operator_norm
+from .problem import (DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec, operator_norm,
+                      radius_bound)
 from .rng import TAG_DERIVATIVE, TAG_GEOMETRIC, TAG_INTEGRAL, TAG_SOLVE, substream
 
 BLOCK_REPLICATES = 16384
@@ -340,8 +341,8 @@ def derivative_solve(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAlloc
     grid = _as_points(spec, t_grid)
     n_terms = plan.N + 1
     r_u = np.asarray(alloc.r_u, dtype=float)
-    while len(r_u) < n_terms:  # extrapolate the geometric tail if m_max was tight
-        r_u = np.append(r_u, r_u[-1] * (r_u[-1] / r_u[-2]))
+    while len(r_u) < n_terms:  # m_max was tight: r_m <= min_k r_k r_(m-k)
+        r_u = np.append(r_u, np.min(r_u * r_u[::-1]))
     theta, counts, _ = counts_from_weights(r_u, n_terms, alloc.n_total)
     tail = functools.partial(_chain_tail, spec)
     moments = [_run_term(int(counts[j - 1]), j, grid, substream(seed, TAG_DERIVATIVE, j),
@@ -368,7 +369,7 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
         raise ValueError("lam must lie in (0, 1)")
     if M < 2:
         raise ValueError("M must be >= 2")
-    radius = pnt.fit_s.beta if pnt is not None else operator_norm(spec, "S")
+    radius = radius_bound(pnt.r_S) if pnt is not None else operator_norm(spec, "S")
     if lam * max(radius, 0.0) >= 1.0:
         raise ContractivityError(f"lam * spectral proxy = {lam * radius:.4f} >= 1; damped series may diverge")
     grid = _as_points(spec, t_grid)

@@ -2,7 +2,8 @@
 
 The solution of ``y = f + S[y]`` expands as ``y = f + sum_m S^m[f]``.
 This module picks the truncation level N so the dropped tail is below a
-target ``epsilon``.  One series loop over the quadrature operator that
+target ``epsilon``, bounding the tail from the power-norm table r_m(S)
+alone (``tail_bounds``).  One series loop over the quadrature operator that
 also gives the power norms (``problem.quadrature_operator``) evaluates
 ``S^m[f]``, the truncated solution and the damped series.  The oracle is
 desk-scale by design (1-D, m <= 12): it verifies the Monte-Carlo engines.
@@ -18,75 +19,51 @@ import numpy as np
 from .errors import ContractivityError, OracleInfeasible
 from .problem import PowerNormTable, ProblemSpec, quadrature_operator
 
-_TAIL_TERM_FLOOR = 1e-18
-_MAX_TAIL_TERMS = 200000
-
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Chosen truncation level with its certified tail bound."""
+    """Chosen truncation level with its tail bound and the power norms' ``source``."""
 
     epsilon: float
     N: int
     tail_bound: float
-    source: str  # "fit-based" | "norm-product"
+    source: str  # "analytic" | "quadrature" | "mc"
+
+    @property
+    def basis(self) -> str:
+        """What ``tail_bound`` rests on (the manifest's ``tail_basis``)."""
+        return ("mc: relative to the Monte-Carlo estimates of r_m(S), not a certificate"
+                if self.source == "mc" else f"{self.source}: a bound on the tabulated r_m(S)")
 
 
-def _tail_sum(C: float, delta: float, beta: float, n_from: int) -> float:
-    """sum_{m >= n_from} C * m^delta * beta^m by direct summation until the
-    terms drop below the floor."""
-    total = 0.0
-    m = n_from
-    while m < n_from + _MAX_TAIL_TERMS:
-        term = C * m ** delta * beta ** m
-        total += term
-        if term < _TAIL_TERM_FLOOR:
-            return total
-        m += 1
-    raise ContractivityError(f"tail sum did not converge within {_MAX_TAIL_TERMS} terms (beta={beta})")
+def tail_bounds(r_S, f_norm: float) -> np.ndarray:
+    """||f|| (r_{N+1} + ... + r_M + B) >= sum_{m>N} ||S^m[f]|| for N = 1..M,
+    from the table r_1..r_M of r_m(S).  Each m > M is (M-k+i) + q k with
+    1 <= i <= k, q >= 1, so submultiplicativity gives sum_{m>M} r_m <= B =
+    min over k with r_k < 1 of (r_{M-k+1} + ... + r_M) r_k / (1 - r_k)."""
+    r = np.asarray(r_S, dtype=float)
+    k = np.flatnonzero(r < 1.0)
+    if len(k) == 0:
+        raise ContractivityError(f"no r_k(S) < 1 for k <= {len(r)}: convergence not certified")
+    suffix = np.cumsum(r[::-1])[::-1]  # suffix[j] = r_{j+1} + ... + r_M
+    beyond = np.min(suffix[len(r) - 1 - k] * r[k] / (1.0 - r[k]))
+    return f_norm * (np.append(suffix[1:], 0.0) + beyond)
 
 
-def choose_truncation(pnt: PowerNormTable, f_norm: float, epsilon: float,
-                      source: str = "fit-based") -> TruncationPlan:
-    """Smallest N with certified tail sum_{m>N} ||S^m[f]|| <= epsilon.
-
-    The tail is bounded through the fitted decay law of r_m(S)
-    (``fit-based``) or through the cruder ||S||^m product bound
-    (``norm-product``).  N is also kept at or above the argmax of
-    m^delta * beta^m, where the fitted bound starts decreasing.
-    """
+def choose_truncation(pnt: PowerNormTable, f_norm: float, epsilon: float) -> TruncationPlan:
+    """Smallest N in [1, m_max] with ``tail_bounds`` <= epsilon (ValueError
+    if none): a bound for the tabulated norms, with MC norms only relative
+    to their estimates."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
-    if source == "fit-based":
-        C, delta, beta = pnt.fit_s
-    elif source == "norm-product":
-        C, delta, beta = 1.0, 0.0, float(pnt.r_S[0])
-    else:
-        raise ValueError(f"unknown truncation source {source!r}")
-    if beta >= 1.0:
-        raise ContractivityError(f"fitted decay rate of r_m(S) is {beta:.6f} >= 1")
-
-    n_floor = 1
-    if delta > 0:
-        n_floor = max(n_floor, int(np.ceil(delta / abs(np.log(beta)))))
-
-    def tail(n: int) -> float:
-        return f_norm * _tail_sum(C, delta, beta, n + 1)
-
-    # Asymptotic starting guess, then settle to the minimal integer by
-    # direct tail summation (the asymptotic form can under- or over-shoot
-    # at moderate epsilon).
-    if f_norm > 0:
-        eps1 = epsilon / (C * f_norm)
-        guess = np.log(max(C * abs(np.log(beta)) / eps1, 1.0 + 1e-12)) / abs(np.log(beta))
-        N = max(n_floor, int(np.ceil(guess)))
-    else:
-        N = n_floor
-    while tail(N) > epsilon:
-        N += 1
-    while N > n_floor and tail(N - 1) <= epsilon:
-        N -= 1
-    return TruncationPlan(epsilon=epsilon, N=N, tail_bound=tail(N), source=source)
+    tails = tail_bounds(pnt.r_S, f_norm)
+    within = np.flatnonzero(tails <= epsilon)
+    if len(within) == 0:
+        raise ValueError(f"tail bound {tails[-1]:.4g} at N = m_max = {pnt.m_max} exceeds "
+                         f"epsilon = {epsilon}; raise m_max or epsilon")
+    N = int(within[0]) + 1
+    return TruncationPlan(epsilon=epsilon, N=N, tail_bound=float(tails[N - 1]),
+                          source=pnt.estimation_method)
 
 
 def _as_points(spec: ProblemSpec, t_grid) -> np.ndarray:

@@ -7,8 +7,10 @@ module computes the quantities the Monte-Carlo method is driven by:
 * the envelope ``R(s) >= sup_t |K(t,s)|`` and the natural semi-distance
   ``d(t,s) = sup_x |K(t,x)-K(s,x)| / R(x)``,
 * operator norms ``||S||``, ``||U||`` (``U`` has kernel ``K^2``),
-* power norms ``r_m(L) = ||L^m||`` for ``m = 1..m_max`` together with a
-  geometric-decay fit ``r_m <= C * m^Delta * beta^m``.
+* power norms ``r_m(L) = ||L^m||`` for ``m = 1..m_max`` and the bound
+  ``min_k r_k^(1/k)`` on the spectral radius (Gelfand's formula) that the
+  contractivity checks read; a geometric-decay fit
+  ``r_m ~ C * m^Delta * beta^m`` is kept as a diagnostic only.
 
 Deterministic integrals use composite midpoint quadrature with
 ``QUAD_NODES`` nodes per dimension; midpoint avoids endpoint evaluation so
@@ -138,7 +140,7 @@ class Metric:
 
 
 class Fit(NamedTuple):
-    """Least-squares fit r_m <= C * m^delta * beta^m."""
+    """Least-squares fit r_m ~ C * m^delta * beta^m (a diagnostic, not a bound)."""
 
     C: float
     delta: float
@@ -159,6 +161,8 @@ class ProblemSpec:
     kernel_dt: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     forcing_dt: Optional[Callable[[np.ndarray], np.ndarray]] = None
     envelope_Q: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # sup|f|, exact for registry forcings; None takes the max over the output
+    # grid (>= 257 points in 1-D), which can miss the sup: not a bound
     f_norm: Optional[float] = None
     # Closed-form power norms for registry kernels: analytic_norms(m, which)
     # with which in {"S", "U"}; None means "use quadrature or MC".
@@ -177,8 +181,8 @@ class ProblemSpec:
 class PowerNormTable:
     """Power norms r_m(S), r_m(U) for m = 1..m_max plus the decay fits.
 
-    ``fit`` is the fit of r_m(U) (drives allocation and the variance
-    theory); ``fit_s`` is the fit of r_m(S) (drives truncation).
+    ``fit`` (of r_m(U)) and ``fit_s`` (of r_m(S)) are diagnostics; every
+    decision reads the table itself.
     """
 
     m_max: int
@@ -311,6 +315,14 @@ def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) ->
     return out
 
 
+def radius_bound(r) -> float:
+    """min_k r_k^(1/k) over a power-norm table r_1..r_M: by Gelfand's
+    formula the spectral radius is inf_k ||L^k||^(1/k), so this bounds it
+    from above (for M = 1, the operator norm)."""
+    r = np.asarray(r, dtype=float)
+    return float(np.min(r ** (1.0 / np.arange(1, len(r) + 1))))
+
+
 def _fit_decay(r: np.ndarray, m_lo: int = 2) -> Fit:
     """Log-linear least squares of r_m against C * m^delta * beta^m over
     m in [m_lo, m_max]; m=1 is excluded as routinely off-trend."""
@@ -335,8 +347,8 @@ def _fit_decay(r: np.ndarray, m_lo: int = 2) -> Fit:
 def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") -> PowerNormTable:
     """Power-norm table r_1..r_{m_max} for S and U with decay fits.
 
-    Raises ContractivityError when the fitted decay rate of r_m(U) is
-    >= 1: the spectral-radius hypothesis the whole method rests on fails.
+    Raises ContractivityError when no r_k(U)^(1/k) < 1: the spectral-radius
+    hypothesis the whole method rests on is not certified.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -360,9 +372,10 @@ def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") 
 
     fit_u = _fit_decay(r_U)
     fit_s = _fit_decay(r_S)
-    if fit_u.beta >= 1.0:
-        raise ContractivityError(
-            f"fitted decay rate of r_m(U) is {fit_u.beta:.6f} >= 1; spectral radius not certified < 1")
+    rho_u = radius_bound(r_U)
+    if rho_u >= 1.0:
+        raise ContractivityError(f"no r_k(U)^(1/k) < 1 for k <= {m_max} (smallest {rho_u:.6f}); "
+                                 "spectral radius not certified < 1")
     return PowerNormTable(m_max=m_max, r_S=r_S, r_U=r_U, fit=fit_u, fit_s=fit_s,
                           estimation_method=method)
 

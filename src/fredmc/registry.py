@@ -265,24 +265,30 @@ def _poly_mean(coeffs: Sequence[float], lo: float, hi: float) -> float:
     return float((P.polyval(hi, anti) - P.polyval(lo, anti)) / (hi - lo))
 
 
-def _poly_sup(coeffs: Sequence[float], lo: float, hi: float, n: int = 4097) -> float:
-    xs = np.linspace(lo, hi, n)
+def _poly_sup(coeffs: Sequence[float], lo: float, hi: float) -> float:
+    """Exact sup|poly| on [lo, hi]: the max over the ends and the real parts
+    of the roots of poly' inside (a spurious point cannot exceed the sup)."""
+    crit = P.polyroots(P.polyder(P.polytrim(list(coeffs)))).real
+    xs = np.concatenate([[lo, hi], crit[(crit > lo) & (crit < hi)]])
     return float(np.max(np.abs(P.polyval(xs, coeffs))))
 
 
-def _forcing_from(config, dim: int):
+def _forcing_from(config, domain: DomainSpec):
+    """(forcing, its t-derivative, exact sup |f| or None)."""
     if callable(config):
-        return config, None
+        return config, None, None
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("forcing must be {'kind': 'const'|'poly', ...}")
     kind = config["kind"]
     if kind == "const":
-        return ConstFunc(float(config["value"])), ConstFunc(0.0)
+        value = float(config["value"])
+        return ConstFunc(value), ConstFunc(0.0), abs(value)
     if kind == "poly":
-        if dim != 1:
+        if domain.dim != 1:
             raise ConfigError("poly forcing needs a 1-D domain")
         coeffs = tuple(float(c) for c in config["coeffs"])
-        return PolyFunc(coeffs), PolyFunc(tuple(P.polyder(coeffs)) or (0.0,))
+        return (PolyFunc(coeffs), PolyFunc(tuple(P.polyder(coeffs)) or (0.0,)),
+                _poly_sup(coeffs, *domain.bounds[0]))
     raise ConfigError(f"unknown forcing kind {kind!r}")
 
 
@@ -301,14 +307,15 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
         raise ConfigError("'custom' problems cannot be expressed in a config; build them in code")
     domain = _domain_from(params)
     mu = MeasureSampler()
-    forcing, forcing_dt = _forcing_from(params.get("forcing", {"kind": "const", "value": 1.0}), domain.dim)
+    forcing, forcing_dt, f_norm = _forcing_from(
+        params.get("forcing", {"kind": "const", "value": 1.0}), domain)
 
     if name == "constant":
         gamma = float(params["gamma"])
         return ProblemSpec(
             domain=domain, mu=mu,
             kernel=ConstantKernel(gamma),
-            forcing=forcing, forcing_dt=forcing_dt,
+            forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
             kernel_dt=ConstantKernel(0.0) if domain.dim == 1 else None,
             envelope_R=ConstFunc(abs(gamma)),
             envelope_Q=ProductFunc(forcing, ConstFunc(abs(gamma))),
@@ -337,7 +344,7 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
         return ProblemSpec(
             domain=domain, mu=mu,
             kernel=SeparablePolyKernel(a, b),
-            forcing=forcing, forcing_dt=forcing_dt,
+            forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
             kernel_dt=SeparablePolyKernel(a_deriv, b),  # dK/dt = a'(t) * b(s)
             envelope_R=ScaledAbsPoly(sup_a, b),
             envelope_Q=ProductFunc(forcing, ScaledAbsPoly(sup_a, b)),
@@ -356,7 +363,7 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
     return ProblemSpec(
         domain=domain, mu=mu,
         kernel=GaussConvKernel(scale, kappa, domain.bounds),
-        forcing=forcing, forcing_dt=forcing_dt,
+        forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
         kernel_dt=GaussConvKernelDt(scale, kappa, domain.bounds) if domain.dim == 1 else None,
         envelope_R=ConstFunc(abs(scale)),
         envelope_Q=ProductFunc(forcing, ConstFunc(abs(scale))),

@@ -216,6 +216,23 @@ def test_exit_code_contractivity(tmp_path, capsys):
     assert "contractivity" in capsys.readouterr().err
 
 
+def test_exit_code_truncation_beyond_m_max(tmp_path, capsys):
+    # K = 0.5 needs N = 17 for a 1e-5 tail; the power-norm table stops at 10
+    path = _write_config(tmp_path, problem=CONST_PROBLEM, epsilon=1e-5, m_max=10)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "m_max = 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norms, basis", [("quadrature", "quadrature: a bound on the tabulated"),
+                                          ("mc", "mc: relative to the Monte-Carlo estimates")])
+def test_manifest_records_tail_basis(tmp_path, norms, basis):
+    for command, out in (("solve", tmp_path / "s"), ("allocate", tmp_path / "a")):
+        path = _write_config(tmp_path, norms_method=norms, out_dir=str(out))
+        assert main([command, "--config", str(path)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["tail_basis"].startswith(basis)
+
+
 def test_exit_code_budget(tmp_path, capsys):
     path = _write_config(tmp_path, budget=3)
     assert main(["solve", "--config", str(path)]) == 4

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import KernelTimesForcing
-from fredmc.problem import DomainSpec, MeasureSampler, ProblemSpec
+from fredmc.problem import DomainSpec, Fit, MeasureSampler, PowerNormTable, ProblemSpec
 from fredmc.registry import _taylor_rest
 
 
@@ -459,6 +459,18 @@ def test_derivative_extends_power_norms_when_table_is_short(ts_spec):
     est = fm.derivative_solve(ts_spec, plan, alloc, np.array([0.5]), seed=1)
     assert est.per_term.shape[0] == 4
     assert np.all(np.isfinite(est.values))
+
+
+def test_derivative_extends_r_u_by_submultiplicativity(ts_spec):
+    # r_4(U) <= min(r_1 r_3, r_2 r_2) = 0.04 here, where the ratio
+    # extrapolation r_3^2 / r_2 would give 0.05; the counts follow the bound
+    from fredmc.allocation import counts_from_weights
+    r_u = np.array([0.5, 0.2, 0.1])
+    pnt = PowerNormTable(3, np.sqrt(r_u), r_u, Fit(1.0, 0.0, 0.5), Fit(1.0, 0.0, 0.7), "analytic")
+    alloc = fm.optimal_allocation(pnt, 3, 10_000)
+    est = fm.derivative_solve(ts_spec, _plan(3), alloc, np.array([0.5]), seed=1)
+    _, counts, _ = counts_from_weights(np.append(r_u, 0.04), 4, 10_000)
+    assert est.n_used == int(np.sum(np.arange(1, 5) * counts))
 
 
 def test_derivative_requires_kernel_dt(ts_spec):

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import _reference_solution
-from fredmc.neumann import _tail_sum, export_power_csv
+from fredmc.neumann import export_power_csv, tail_bounds
 from fredmc.problem import Fit, PowerNormTable
 
 
@@ -57,15 +59,61 @@ def test_choose_truncation_respects_fit_peak():
 
 
 def test_tail_monotone_refinement(ts_pnt):
-    C, delta, beta = ts_pnt.fit_s
-    tails = [_tail_sum(C, delta, beta, n + 1) for n in range(1, 8)]
-    assert all(b < a for a, b in zip(tails, tails[1:]))
+    tails = tail_bounds(ts_pnt.r_S, 1.0)
+    assert len(tails) == ts_pnt.m_max
+    assert np.all(np.diff(tails) < 0)
 
 
-def test_norm_product_source(const_pnt):
-    plan = fm.choose_truncation(const_pnt, 1.0, 0.01, source="norm-product")
-    assert plan.source == "norm-product"
-    assert plan.N == 7  # ||S||^m = 0.5^m, same tail as the fit for this kernel
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(C=st.floats(1.0, 4.0), beta=st.floats(0.02, 0.95), m_max=st.integers(2, 40),
+       f_norm=st.floats(0.1, 10.0), log_eps=st.floats(-8.0, np.log10(0.49)))
+def test_tail_bound_on_submultiplicative_tables(C, beta, m_max, f_norm, log_eps):
+    # r_m = C beta^m with C >= 1 is submultiplicative, and its true tail
+    # beyond N is C beta^(N+1) / (1 - beta): the bound must cover it, N must
+    # be the smallest with tail <= epsilon, and the tail must not rise in N
+    r, eps = C * beta ** np.arange(1, m_max + 1), 10.0 ** log_eps
+    pnt = PowerNormTable(m_max, r, r ** 2, Fit(C, 0.0, beta), Fit(C, 0.0, beta), "analytic")
+    if np.all(r >= 1.0):
+        with pytest.raises(fm.ContractivityError):
+            fm.choose_truncation(pnt, f_norm, eps)
+        return
+    tails = tail_bounds(r, f_norm)
+    assert np.all(np.diff(tails) <= 0)
+    if tails[-1] > eps:
+        with pytest.raises(ValueError, match=f"m_max = {m_max}"):
+            fm.choose_truncation(pnt, f_norm, eps)
+        return
+    plan = fm.choose_truncation(pnt, f_norm, eps)
+    assert plan.tail_bound <= eps and (plan.N == 1 or tails[plan.N - 2] > eps)
+    exact = f_norm * C * beta ** (plan.N + 1) / (1.0 - beta)
+    assert plan.tail_bound >= exact * (1.0 - 1e-12)
+
+
+def _gauss_legendre_tail(spec, N, nodes_per_axis=24):
+    # sup over the output grid of sum_{m>N} S^m[f] = E A^N (I - A)^-1 f(x)
+    # from a dense Gauss-Legendre Nystrom discretization of the box
+    g, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+    dim = spec.domain.dim
+    x = np.stack(np.meshgrid(*[lo + (g + 1) * (hi - lo) / 2 for lo, hi in spec.domain.bounds],
+                             indexing="ij"), axis=-1).reshape(-1, dim)
+    wx = np.stack(np.meshgrid(*[w / 2] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
+    A = wx * spec.kernel(x[:, None, :], x[None, :, :])
+    t = spec.domain.grid()
+    E = wx * spec.kernel(t[:, None, :], x[None, :, :])
+    y = np.linalg.solve(np.eye(len(x)) - A, spec.forcing(x))
+    return float(np.max(np.abs(E @ np.linalg.matrix_power(A, N) @ y)))
+
+
+def test_tail_bound_covers_the_true_error_on_2d_gauss():
+    # the 2-D gauss-conv solve with MC norms: a fitted decay law put the
+    # tail at 0.005209, below the true truncation error 0.005263
+    spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "grid": 21,
+                                           "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                                           "forcing": {"kind": "const", "value": 1.0}})
+    plan = fm.choose_truncation(fm.power_norms(spec, m_max=8, method="mc"), spec.f_norm, 0.01)
+    true_error = _gauss_legendre_tail(spec, plan.N)
+    assert plan.tail_bound >= true_error
+    assert plan.N == 3 and plan.source == "mc"
 
 
 def test_apply_power_constant(const_spec):

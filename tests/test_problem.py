@@ -319,6 +319,16 @@ def test_f_norm_attained_on_grid(ts_spec):
     assert ts_spec.f_norm >= attained * 0.99
 
 
+def test_f_norm_is_exact_for_poly_forcing():
+    # f = t - t^3 peaks at the irrational 1/sqrt(3), which no grid point hits
+    spec = fm.build_problem("constant", {"gamma": 0.5,
+                                         "forcing": {"kind": "poly", "coeffs": [0.0, 1.0, 0.0, -1.0]}})
+    assert spec.f_norm == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), rel=0, abs=1e-15)
+    # the same exact sup gives sup|a| in the separable-poly norms: r_1(S) = sup|a| int|b|
+    spec = fm.build_problem("separable-poly", {"a": [0.0, 1.0, 0.0, -1.0], "b": [1.0]})
+    assert spec.analytic_norms(1, "S") == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), rel=0, abs=1e-15)
+
+
 def test_r1_equals_operator_norm_same_path(ts_spec, ts_pnt):
     assert ts_pnt.r_S[0] == fm.operator_norm(ts_spec, "S")
     assert ts_pnt.r_U[0] == fm.operator_norm(ts_spec, "U")
