@@ -10,7 +10,12 @@ the Lagrange solution ``n(m) = theta(m) n`` with
 
 Counts are rounded up (1 + floor), so the realized cost may exceed n by
 at most N(N+1)/2 and the realized Phi never exceeds the continuous
-optimum R_half * R_minus_half / n.
+optimum R_half^2 / n, which is also the least Phi attainable at cost n.
+
+The paper states the bracket R_half * R_minus_half / n for the optimal
+Phi (``theorem11_bound``).  Since R_minus_half <= R_half, that bracket
+lies below the attainable minimum R_half^2 / n, so the realized Phi
+exceeds it; acceptance criterion 2 checks the stated bracket and fails.
 """
 
 from __future__ import annotations
@@ -93,14 +98,17 @@ def optimal_allocation(pnt: PowerNormTable, N: int, n_total: int) -> BudgetAlloc
 
 
 def theorem11_bound(pnt: PowerNormTable, N: int, n_total: int, f_norm: float) -> tuple[float, float]:
-    """Bracket for the optimal variance at budget n:
+    """The paper's stated bracket for the optimal variance at budget n:
 
         ||f||^2 * R_half * R_minus_half * (1/n -+ C/n^2)
 
-    with C a certified rounding-loss constant N(N+1)/2 * max_m
-    r_m(U)^(-1/2) * R_half (the theory leaves the 1/n^2 constants
-    abstract; rounding changes each count by at most one replicate).
-    Returns (upper, lower).
+    with C a rounding-loss constant N(N+1)/2 * max_m r_m(U)^(-1/2) * R_half
+    (the theory leaves the 1/n^2 constants abstract; rounding changes each
+    count by at most one replicate).  Returns (upper, lower).
+
+    It is not a bound on the realized variance: R_half * R_minus_half / n
+    lies below the attainable minimum ||f||^2 R_half^2 / n, so the realized
+    variance exceeds the upper value (acceptance criterion 2 fails on it).
     """
     if f_norm == 0.0:
         return 0.0, 0.0

@@ -7,7 +7,8 @@ byte-stable: fixed column order, shortest round-trip float formatting,
 LF line endings, and replication-ordered study output regardless of the
 worker count.
 
-Exit codes: 0 ok, 2 config, 3 contractivity, 4 budget, 5 numerical.
+Exit codes: 0 ok, 2 config, 3 contractivity, 4 budget (also an
+allocation that runs out of memory), 5 numerical.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -472,6 +474,14 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _innermost_fredmc_function(exc: BaseException) -> str:
+    """Name of the innermost fredmc function in the traceback of ``exc``."""
+    package = Path(__file__).resolve().parent
+    names = [f"{Path(fr.filename).stem}.{fr.name}" for fr in traceback.extract_tb(exc.__traceback__)
+             if Path(fr.filename).resolve().parent == package]
+    return names[-1] if names else "?"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -495,6 +505,10 @@ def main(argv=None) -> int:
         return 3
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"budget error: out of memory in {_innermost_fredmc_function(exc)}; "
+              "lower the grid, budget or n_sim", file=sys.stderr)
         return 4
     except (NotPSD, BandTooWide) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

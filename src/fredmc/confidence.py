@@ -243,7 +243,10 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
     """Empirical (1-delta) quantile of sup_t |X(t)| for the centered
     Gaussian field with the plug-in covariance; band half-width is
     u_delta / sqrt(n).  Each path is q normals times the covariance's eigen
-    factor; fixed-size batches, per-batch substreams, deterministic merge."""
+    factor; fixed-size batches, per-batch substreams, deterministic merge.
+    With q = 1 a path is z F(t), so its sup is |z| max|F|: one product per
+    path, and the same bits as the max over the grid, because rounding a
+    product is monotone and symmetric in sign."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_sim < 1:
@@ -256,11 +259,16 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
     else:
         F, dropped = _eigen_factor(cov.Z_hat, trace)
         q = F.shape[1]
+        f_max = np.max(np.abs(F[:, 0])) if q == 1 else None
         chunks = []
         for b in range(0, n_sim, SIM_BATCH):
             rng = substream(seed, TAG_GAUSS_SIM, b // SIM_BATCH)
-            x = rng.standard_normal((min(SIM_BATCH, n_sim - b), q)) @ F.T
-            chunks.append(np.max(np.abs(x, out=x), axis=1))
+            z = rng.standard_normal((min(SIM_BATCH, n_sim - b), q))
+            if f_max is None:
+                x = z @ F.T
+                chunks.append(np.max(np.abs(x, out=x), axis=1))
+            else:
+                chunks.append(np.abs(z[:, 0]) * f_max)
         sups = np.concatenate(chunks)
     u = float(np.quantile(sups, 1.0 - delta))
     band = ConfidenceBand(delta=delta, u_delta=u,

@@ -11,7 +11,8 @@ Every term's per-tuple field is ``first(t, x1) * tail(x1..xm)``: a first
 factor over the grid (K; dK/dt for the derivative; g for a parametric
 integral, which has no tail) times the t-free chain K(x1,x2)...f(x_m).
 One runner, ``_run_term``, draws the tuples, evaluates that product and
-folds the block moments; the engines pick the factor, substreams, counts.
+folds the block moments; the engines pick the factor, substreams, counts,
+and evaluate the factored first factor over the grid once per call.
 A first factor with ``factors()``, meaning K(t, s) = sum_k A_k(t) B_k(s)
 (exact for constant and separable-poly kernels, a Taylor expansion with a
 closed-form remainder bound for gauss-conv), makes the field A(t) w with
@@ -189,20 +190,20 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
-              mu: MeasureSampler, domain: DomainSpec, first: Callable,
+              mu: MeasureSampler, domain: DomainSpec, first: Callable, fac,
               tail: Optional[Callable], theta: float, collect_cov: bool) -> TermMoments:
     """Dependent-trial average of one term: ``count`` replicates of
     m-tuples, the same tuples reused for every grid point; the field per
     tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None.
 
-    On the factored path (``_first_factors``) the same block loop, with the
-    same draws in the same order, folds the r-vector w = B(x1) * tail and
-    its r x r co-moment M2_w, which are expanded over the grid: mean
-    A mu_w, m2_diag rowwise(A M2_w A^T), m2_full A M2_w A^T.  The diagonal
-    of M2_w is the per-row one of ``merge_block``, so r = 1 gives
-    a * mu_w and a^2 * M2_w exactly.
+    ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
+    evaluates once for all its terms.  On the factored path (fac not None)
+    the same block loop, with the same draws in the same order, folds the
+    r-vector w = B(x1) * tail and its r x r co-moment M2_w, which are
+    expanded over the grid: mean A mu_w, m2_diag rowwise(A M2_w A^T),
+    m2_full A M2_w A^T.  The diagonal of M2_w is the per-row one of
+    ``merge_block``, so r = 1 gives a * mu_w and a^2 * M2_w exactly.
     """
-    fac = _first_factors(first, grid, domain)
     if fac is None:
         values_of = functools.partial(_term_field, first, tail, grid)
         full = collect_cov
@@ -259,8 +260,8 @@ def estimate_parametric_integral(g, nu: MeasureSampler, x_domain: DomainSpec,
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
-    tm = _run_term(n, 1, grid, substream(seed, TAG_INTEGRAL), nu, x_domain, g, None,
-                   1.0, collect_covariance)
+    tm = _run_term(n, 1, grid, substream(seed, TAG_INTEGRAL), nu, x_domain, g,
+                   _first_factors(g, grid, x_domain), None, 1.0, collect_covariance)
     return _table(grid, 0.0, [tm], n * x_domain.dim, seed, "integral", collect_covariance)
 
 
@@ -275,8 +276,9 @@ def solve_fredholm_mc(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAllo
         raise ValueError(f"allocation is for N={alloc.N} but truncation plan has N={plan.N}")
     grid = _as_points(spec, t_grid)
     tail = functools.partial(_chain_tail, spec)
+    fac = _first_factors(spec.kernel, grid, spec.domain)
     moments = [_run_term(int(alloc.counts[m - 1]), m, grid, substream(seed, TAG_SOLVE, m),
-                         spec.mu, spec.domain, spec.kernel, tail,
+                         spec.mu, spec.domain, spec.kernel, fac, tail,
                          float(alloc.theta[m - 1]), collect_covariance)
                for m in range(1, plan.N + 1)]
     return _table(grid, np.asarray(spec.forcing(grid), dtype=float), moments,
@@ -345,8 +347,9 @@ def derivative_solve(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAlloc
         r_u = np.append(r_u, np.min(r_u * r_u[::-1]))
     theta, counts, _ = counts_from_weights(r_u, n_terms, alloc.n_total)
     tail = functools.partial(_chain_tail, spec)
+    fac = _first_factors(spec.kernel_dt, grid, spec.domain)
     moments = [_run_term(int(counts[j - 1]), j, grid, substream(seed, TAG_DERIVATIVE, j),
-                         spec.mu, spec.domain, spec.kernel_dt, tail,
+                         spec.mu, spec.domain, spec.kernel_dt, fac, tail,
                          float(theta[j - 1]), collect_covariance)
                for j in range(1, n_terms + 1)]
     fprime = np.asarray(_forcing_derivative(spec)(grid), dtype=float)
@@ -383,6 +386,7 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
                           f"{budget * dim}; heavy-tailed depth draw, re-seed or raise budget")
     f_grid = np.asarray(spec.forcing(grid), dtype=float)
     tail = functools.partial(_chain_tail, spec)
+    fac = _first_factors(spec.kernel, grid, spec.domain)
     per_term = np.empty((M, grid.shape[0]))
     rank = eps_k = None
     for j, tau in enumerate(taus):
@@ -390,7 +394,7 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
             per_term[j] = f_grid  # S^0[f] = f, known exactly
             continue
         tm = _run_term(n_j, int(tau), grid, substream(seed, TAG_GEOMETRIC, 1 + j),
-                       spec.mu, spec.domain, spec.kernel, tail, 1.0, False)
+                       spec.mu, spec.domain, spec.kernel, fac, tail, 1.0, False)
         per_term[j], rank, eps_k = tm.mean, tm.rank, tm.eps_k
     scale = 1.0 / (1.0 - lam)
     values = per_term.mean(axis=0) * scale

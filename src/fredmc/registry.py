@@ -22,6 +22,19 @@ from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec
 KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
 
 
+def _horner(x, coeffs: Sequence[float]):
+    """``P.polyval(x, coeffs)`` for float coefficients (low->high), evaluated
+    in one output array: numpy's Horner steps c0 = c[-1] + x * 0, then
+    c0 = c[k] + c0 * x, in the same order and hence to the same bits, but
+    without a new array per coefficient."""
+    out = np.multiply(x, 0.0, dtype=float)
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # picklable callables
 
@@ -52,7 +65,7 @@ class SeparablePolyKernel:
 
     def __call__(self, t, s):
         t, s = np.asarray(t), np.asarray(s)
-        return P.polyval(t[..., 0], self.a) * P.polyval(s[..., 0], self.b)
+        return _horner(t[..., 0], self.a) * _horner(s[..., 0], self.b)
 
     def factors(self):
         return PolyFunc(self.a), PolyFunc(self.b)
@@ -205,7 +218,7 @@ class PolyFunc:
 
     def __call__(self, x):
         x = np.asarray(x)
-        return P.polyval(x[..., 0], self.coeffs)
+        return _horner(x[..., 0], self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -226,7 +239,7 @@ class ScaledAbsPoly:
 
     def __call__(self, x):
         x = np.asarray(x)
-        return self.scale * np.abs(P.polyval(x[..., 0], self.coeffs))
+        return self.scale * np.abs(_horner(x[..., 0], self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -438,4 +451,4 @@ class _SeparableSolution:
 
     def __call__(self, x):
         x = np.asarray(x)
-        return np.asarray(self.f(x)) + P.polyval(x[..., 0], self.a) * self.coef
+        return np.asarray(self.f(x)) + _horner(x[..., 0], self.a) * self.coef

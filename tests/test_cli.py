@@ -239,6 +239,20 @@ def test_exit_code_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_memory_error_is_a_budget_error_without_traceback(tmp_path, capsys, monkeypatch):
+    # an allocation that fails inside the pipeline exits 4 and names the
+    # innermost fredmc function on the way to it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fredmc.cli, "estimate_covariance", out_of_memory)
+    path = _write_config(tmp_path, out_dir=str(tmp_path / "oom"))
+    assert main(["solve", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and "cli._bands_for" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_band_too_wide(tmp_path, capsys):
     # a miss probability far below what the moment tail can certify
     path = _write_config(tmp_path, band_method="nonasymptotic-psi", delta=1e-60)

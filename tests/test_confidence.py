@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import fredmc as fm
-from fredmc.confidence import (C0_BAR, PsiFunction, _eigen_factor, integral_psi, psi_bar,
-                               solution_psi)
+from fredmc.confidence import (C0_BAR, SIM_BATCH, PsiFunction, _eigen_factor, integral_psi,
+                               psi_bar, solution_psi)
 from fredmc.estimator import CovarianceModel
 from fredmc.problem import DomainSpec, Metric
+from fredmc.rng import TAG_GAUSS_SIM, substream
 
 
 def _sqrt_psi(p_max=1e6):
@@ -266,6 +268,41 @@ def test_rank_one_covariance_simulates_one_normal_per_path():
     assert band.q == 1
     assert 0.0 <= band.dropped_trace <= 1e-12
     assert band.u_delta == pytest.approx(math.sqrt(4 / 45) * NormalDist().inv_cdf(0.975), rel=0.02)
+
+
+@pytest.mark.parametrize("G", [2, 101, 257])
+def test_rank_one_sups_equal_the_grid_maximum_bitwise(G):
+    # X(t) = z F(t): |z| max|F| must be the bits of max_t |z F(t)| computed
+    # from the eigen-factor and the same per-batch normals
+    rng = np.random.default_rng(G)
+    n_sim, seed = 2 * SIM_BATCH + 17, 40 + G
+    for scale in (1e-8, 1e-3, 1.0, 1e3):
+        f = rng.standard_normal(G) * math.sqrt(scale)  # mixed signs
+        cov = CovarianceModel(t_grid=np.linspace(0, 1, G)[:, None], Z_hat=np.outer(f, f),
+                              sigma_plus_sq=float(np.max(f * f)))
+        band, sims = fm.simulate_sup_quantile(cov, 0.1, n_sim, seed, return_sims=True)
+        F, _ = _eigen_factor(cov.Z_hat, float(np.trace(cov.Z_hat)))
+        z = np.concatenate([substream(seed, TAG_GAUSS_SIM, b).standard_normal(
+            (min(SIM_BATCH, n_sim - b * SIM_BATCH), 1)) for b in range(3)])
+        assert band.q == F.shape[1] == 1
+        assert np.array_equal(sims, np.max(np.abs(z @ F.T), axis=1))
+
+
+def test_rank_one_simulation_holds_no_batch_of_paths():
+    # a q = 1 batch is 4096 normals: the traced peak stays below one
+    # 4096 x G batch of paths, 32 MB at G = 1001
+    G = 1001
+    grid = np.linspace(0.0, 1.0, G)[:, None]
+    cov = CovarianceModel(t_grid=grid, Z_hat=4 * np.outer(grid[:, 0], grid[:, 0]) / 45,
+                          sigma_plus_sq=4 / 45)
+    tracemalloc.start()
+    try:
+        band = fm.simulate_sup_quantile(cov, 0.05, 10_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.q == 1
+    assert peak < SIM_BATCH * G * 8
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,34 @@ def test_draws_are_grid_independent(request, engine, problem):
     assert np.array_equal(a.per_term[:, ::4], b.per_term)
 
 
+class _CountingFactors:
+    """A kernel whose factors() first factor A counts its evaluations."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, 0
+        self.a, self.b = kernel.factors()
+
+    def __call__(self, t, s):
+        return self.kernel(t, s)
+
+    def counted_a(self, t):
+        self.calls += 1
+        return self.a(t)
+
+    def factors(self):
+        return self.counted_a, self.b
+
+
+@pytest.mark.parametrize("engine", ["solve", "derivative", "integral", "geometric"])
+def test_first_factor_is_evaluated_once_per_engine_call(engine, ts_spec, ts_pnt):
+    # A(grid) does not depend on the term, so each engine call evaluates it once
+    kernel, kernel_dt = _CountingFactors(ts_spec.kernel), _CountingFactors(ts_spec.kernel_dt)
+    spec = dataclasses.replace(ts_spec, kernel=kernel, kernel_dt=kernel_dt)
+    est = _engine_on(engine, spec, ts_pnt, np.linspace(0, 1, 11), seed=21)
+    assert est.factor_rank == 1
+    assert (kernel_dt if engine == "derivative" else kernel).calls == 1
+
+
 def _unfactored(spec):
     """The same problem behind plain functions without ``factors()``, so every
     engine takes the general grid x tuple path."""
@@ -451,8 +479,8 @@ def test_derivative_term1_variance(ts_spec, ts_pnt):
 
 
 def test_derivative_extends_power_norms_when_table_is_short(ts_spec):
-    # the extra term needs r_{N+1}(U); with m_max == N it is extrapolated
-    # from the geometric tail of the stored table
+    # the extra term needs r_{N+1}(U); with m_max == N it is taken from the
+    # submultiplicative bound min_k r_k r_{N+1-k} of the stored table
     pnt = fm.power_norms(ts_spec, m_max=3)
     plan = fm.TruncationPlan(0.05, 3, 0.0, "fit-based")
     alloc = fm.optimal_allocation(pnt, 3, 10_000)

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import fredmc as fm
 from fredmc.problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric, ProblemSpec,
                             _power_norms_mc, _power_norms_quadrature, quadrature_operator)
+from fredmc.registry import _horner
 from fredmc.rng import TAG_NORM_MC, substream
 
 
@@ -65,6 +69,17 @@ def test_analytic_registry_matches_quadrature(ts_spec, ts_pnt):
     pnt_a = fm.power_norms(ts_spec, m_max=12, method="analytic")
     assert np.allclose(pnt_a.r_S, ts_pnt.r_S, rtol=1e-4)
     assert np.allclose(pnt_a.r_U, ts_pnt.r_U, rtol=1e-4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=7),
+       x=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=9))
+def test_horner_is_bitwise_polyval(coeffs, x):
+    # degrees 0-6 on inputs that include NaN, +-inf and signed zeros
+    x = np.array(x + [np.nan, np.inf, -np.inf, -0.0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        fast, ref = _horner(x, tuple(coeffs)), P.polyval(x, coeffs)
+    assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("which", ["r_S", "r_U"])
