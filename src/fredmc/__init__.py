@@ -10,7 +10,7 @@ from .confidence import (ConfidenceBand, PsiFunction, entropy_H, natural_psi_fro
                          nonasymptotic_band, psi_bar, simulate_sup_quantile,
                          tail_shape_report, v_star)
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
-                     FredmcError, NotPSD, OracleInfeasible, UnsupportedDerivative)
+                     FredmcError, NotPSD, UnsupportedDerivative)
 from .estimator import (CovarianceModel, EstimateTable, derivative_solve, estimate_covariance,
                         estimate_parametric_integral, solve_fredholm_mc, solve_geometric,
                         tensor_integrand)
@@ -25,7 +25,7 @@ __all__ = [
     "ConfidenceBand", "PsiFunction", "entropy_H", "natural_psi_from_R",
     "nonasymptotic_band", "psi_bar", "simulate_sup_quantile", "tail_shape_report", "v_star",
     "BandTooWide", "BudgetError", "ConfigError", "ContractivityError", "FredmcError",
-    "NotPSD", "OracleInfeasible", "UnsupportedDerivative",
+    "NotPSD", "UnsupportedDerivative",
     "CovarianceModel", "EstimateTable", "derivative_solve", "estimate_covariance",
     "estimate_parametric_integral", "solve_fredholm_mc", "solve_geometric", "tensor_integrand",
     "TruncationPlan", "apply_power_quadrature", "choose_truncation",

@@ -34,7 +34,7 @@ from .allocation import optimal_allocation
 from .confidence import (export_band_json, integral_psi, nonasymptotic_band,
                          simulate_sup_quantile, solution_psi, tail_shape_report)
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
-                     NotPSD, OracleInfeasible, UnsupportedDerivative)
+                     NotPSD, UnsupportedDerivative)
 from .estimator import (EstimateTable, derivative_solve, estimate_covariance,
                         estimate_parametric_integral, solve_fredholm_mc, solve_geometric)
 from .neumann import choose_truncation, damped_solution_oracle
@@ -236,16 +236,17 @@ def _pipeline(cfg: ExperimentConfig, spec: ProblemSpec, budget: Optional[int] = 
     return pnt, plan, alloc
 
 
-def _reference_solution(spec: ProblemSpec) -> np.ndarray:
-    """High-accuracy reference values on the output grid: closed form when
-    the registry has one, otherwise the quadrature Neumann series summed
-    until its terms fall below 1e-14 (ContractivityError when it does not
-    converge)."""
+def _reference_solution(spec: ProblemSpec) -> tuple[np.ndarray, dict]:
+    """Reference values on the output grid, with their Gauss-Legendre
+    nodes per axis q and last-two-rules difference diff: the closed form when
+    the registry has one, else the Nystrom solution (ContractivityError past
+    the Neumann radius)."""
     grid = spec.domain.grid()
     exact = exact_solution(spec)
     if exact is not None:
-        return np.asarray(exact(grid), dtype=float)
-    return damped_solution_oracle(spec, 1.0, grid, tol=1e-14)
+        return np.asarray(exact(grid), dtype=float), {"q": exact.q, "diff": exact.diff}
+    y, q, diff = damped_solution_oracle(spec, 1.0, grid)
+    return y, {"q": q, "diff": diff}
 
 
 def _bands_for(cfg: ExperimentConfig, spec, alloc, est, n: int):
@@ -384,8 +385,9 @@ def _loglog_slope(ns, errs) -> float:
 def _run_rate_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
     pnt, plan, _ = _pipeline(cfg, spec, budget=max(cfg.budgets))
-    ref_solve = _reference_solution(spec)
-    ref_geo = damped_solution_oracle(spec, cfg.lam, spec.domain.grid())
+    ref_solve, accuracy = _reference_solution(spec)
+    ref_geo, q, diff = damped_solution_oracle(spec, cfg.lam, spec.domain.grid())
+    accuracy = {"q": max(accuracy["q"], q), "diff": max(accuracy["diff"], diff)}
     rows = []
     slopes = {}
     for method, err_fn, ref in (("solve", _solve_sup_error, ref_solve),
@@ -407,7 +409,7 @@ def _run_rate_study(cfg: ExperimentConfig, out, t0) -> int:
         w.writerow(["method", "n", "replication", "sup_error"])
         for method, n, r, e in rows:
             w.writerow([method, n, r, _fmt(e)])
-    _write_manifest(out, cfg, ["rates.csv"], {"slopes": slopes}, t0)
+    _write_manifest(out, cfg, ["rates.csv"], {"slopes": slopes, "reference_accuracy": accuracy}, t0)
     print("rate-study slopes: " + ", ".join(f"{k}={v:.3f}" for k, v in slopes.items()))
     return 0
 
@@ -423,7 +425,7 @@ def _coverage_rep(cfg, spec, plan, alloc, ref, rep) -> int:
 def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
     _, plan, alloc = _pipeline(cfg, spec)
-    ref = _reference_solution(spec)
+    ref, accuracy = _reference_solution(spec)
     tasks = [lambda r=r: _coverage_rep(cfg, spec, plan, alloc, ref, r)
              for r in range(cfg.replications)]
     covered = _parallel(cfg, tasks)
@@ -433,8 +435,8 @@ def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
         for r, c in enumerate(covered):
             w.writerow([r, c])
     rate = float(np.mean(covered))
-    _write_manifest(out, cfg, ["coverage.csv"],
-                    {"coverage": rate, "delta": cfg.delta, "N": plan.N}, t0)
+    _write_manifest(out, cfg, ["coverage.csv"], {"coverage": rate, "delta": cfg.delta, "N": plan.N,
+                                                 "reference_accuracy": accuracy}, t0)
     print(f"coverage-study: {rate:.3f} over {cfg.replications} replications (target {1 - cfg.delta})")
     return 0
 
@@ -513,7 +515,7 @@ def main(argv=None) -> int:
     except (NotPSD, BandTooWide) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 5
-    except (ConfigError, OracleInfeasible, UnsupportedDerivative, ValueError) as exc:
+    except (ConfigError, UnsupportedDerivative, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,18 +6,13 @@ class FredmcError(Exception):
 
 
 class ContractivityError(FredmcError):
-    """No tabulated r_k^(1/k) lies below 1, or a series did not converge:
-    the Neumann series cannot be certified to converge."""
+    """No tabulated r_k^(1/k) lies below 1, or a damped oracle runs past
+    the Neumann radius: the Neumann series cannot be certified to converge."""
 
 
 class BudgetError(FredmcError):
     """The sampling budget is below the minimum (or a realized cost guard
     tripped)."""
-
-
-class OracleInfeasible(FredmcError):
-    """The deterministic quadrature oracle was asked for something outside
-    its desk-scale envelope (m > 12, or nested quadrature above 1-D)."""
 
 
 class NotPSD(FredmcError):

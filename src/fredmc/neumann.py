@@ -1,13 +1,12 @@
-"""Truncation of the Neumann series and the deterministic quadrature oracle.
+"""Truncation of the Neumann series and the deterministic oracles.
 
 The solution of ``y = f + S[y]`` expands as ``y = f + sum_m S^m[f]``.
 This module picks the truncation level N so the dropped tail is below a
 target ``epsilon``, bounding the tail from the power-norm table r_m(S)
-alone (``tail_bounds``).  One series loop over the quadrature operator that
-also gives the power norms (``problem.quadrature_operator``) evaluates
-``S^m[f]``, the truncated solution and the damped series.  The oracle is
-desk-scale by design (1-D, m <= 12): it verifies the Monte-Carlo engines.
-"""
+alone (``tail_bounds``).  The oracles, ``S^m[f]``, the truncated and the
+damped solution, are one Gauss-Legendre Nystrom solve each
+(``problem.nystrom``): they verify the Monte-Carlo engines and give the
+studies' reference values."""
 
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractivityError, OracleInfeasible
-from .problem import PowerNormTable, ProblemSpec, quadrature_operator
+from .errors import ContractivityError
+from .problem import PowerNormTable, ProblemSpec, nystrom
 
 
 @dataclass(frozen=True)
@@ -75,66 +74,58 @@ def _as_points(spec: ProblemSpec, t_grid) -> np.ndarray:
     return t
 
 
-def _series(spec: ProblemSpec, t: np.ndarray, m_max: int, cap: int = 12):
-    """Yield S^m[f](t) = E A^(m-1) f(x) for m = 1..m_max on one quadrature
-    operator (E = w K(t, x), A = w K(x, x)); O(h^2) accurate for C^2
-    kernels.  Above 1-D only m = 1, a streamed pass over E, is feasible."""
-    if m_max > cap or (spec.domain.dim > 1 and m_max > 1):
-        raise OracleInfeasible(f"oracle supports m <= {cap} and dim = 1 for m > 1 "
-                               f"(got m={m_max}, dim={spec.domain.dim})")
-    nodes, A, rows = quadrature_operator(spec, t, node_matrix=m_max > 1)
-    E = [r["S"] for r in rows] if m_max > 1 else (r["S"] for r in rows)
-    g = np.asarray(spec.forcing(nodes), dtype=float)
-    for m in range(1, m_max + 1):
-        if m > 1:
-            g = A["S"] @ g
-        yield np.concatenate([e @ g for e in E])
+def _powers(A: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+    """The node values f, A f, ..., A^(m-1) f as the columns of an (n, m) array."""
+    g = [f]
+    for _ in range(m - 1):
+        g.append(A @ g[-1])
+    return np.stack(g, axis=1)
+
+
+def _resolvent(A: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
+    """lam (I - lam A)^-1 f; ContractivityError when lam rho(A) >= 1, where
+    the Neumann series diverges though a linear solve would still succeed.
+    The eigenvalues are needed only when the max row sum (>= rho) is not < 1/lam."""
+    if lam * np.max(np.abs(A).sum(axis=1)) >= 1.0:
+        rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+        if lam * rho >= 1.0:
+            raise ContractivityError(f"damped series diverges: lam * rho = {lam * rho:.6g} >= 1")
+    return lam * np.linalg.solve(np.eye(len(A)) - lam * A, f)
 
 
 def apply_power_quadrature(spec: ProblemSpec, m: int, t_grid) -> np.ndarray:
-    """S^m[f] on the grid by (m-1) kernel-matrix applications plus one
-    evaluation row."""
-    t = _as_points(spec, t_grid)
+    """S^m[f] = E A^(m-1) f(x) on the grid."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    *_, last = _series(spec, t, m)
-    return last
+    return nystrom(spec, _as_points(spec, t_grid), lambda A, f: _powers(A, f, m)[:, -1])[0]
 
 
 def truncated_solution_oracle(spec: ProblemSpec, plan: TruncationPlan, t_grid) -> np.ndarray:
-    """y^(N) = f + sum_{m=1}^{N} S^m[f] on the grid, deterministically."""
+    """y^(N) = f + sum_{m=1}^{N} S^m[f] = f + E sum_{k<N} A^k f(x) on the grid."""
     t = _as_points(spec, t_grid)
-    return np.asarray(spec.forcing(t), dtype=float) + sum(_series(spec, t, plan.N))
+    return (np.asarray(spec.forcing(t), dtype=float)
+            + nystrom(spec, t, lambda A, f: _powers(A, f, plan.N).sum(axis=1))[0])
 
 
-def damped_solution_oracle(spec: ProblemSpec, lam: float, t_grid, tol: float = 1e-10,
-                           max_terms: int = 200) -> np.ndarray:
-    """Solution of the damped equation y = f + lam * S[y], i.e.
-    f + sum_m lam^m S^m[f], summed until the term norm falls below tol.
-    Reference for the geometric-randomization estimator and, at lam = 1,
-    for the solver."""
+def damped_solution_oracle(spec: ProblemSpec, lam: float, t_grid):
+    """Solution y = f + E lam (I - lam A)^-1 f(x) of y = f + lam * S[y] on
+    the grid, the reference for the geometric estimator and, at lam = 1, for
+    the solver, as (values, q, diff) of ``problem.gauss_legendre``."""
     t = _as_points(spec, t_grid)
-    y = np.asarray(spec.forcing(t), dtype=float)
-    scale = 1.0
-    for term in _series(spec, t, max_terms, cap=max_terms):
-        scale *= lam
-        term = scale * term
-        y = y + term
-        if np.max(np.abs(term)) < tol:
-            return y
-    raise ContractivityError(f"damped series did not converge (lam={lam})")
+    y, q, diff = nystrom(spec, t, lambda A, f: _resolvent(A, f, lam))
+    return np.asarray(spec.forcing(t), dtype=float) + y, q, diff
 
 
 def export_power_csv(path, spec: ProblemSpec, t_grid, m_list) -> None:
-    """Write S^m[f] values: columns t_1..t_dim, m, value (one operator for
+    """Write S^m[f] values: columns t_1..t_dim, m, value (one solve for
     every m)."""
     t = _as_points(spec, t_grid)
     if min(m_list, default=1) < 1:
         raise ValueError("m must be >= 1")
-    terms = list(_series(spec, t, max(m_list, default=0)))
+    terms = nystrom(spec, t, lambda A, f: _powers(A, f, max(m_list, default=1)))[0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"t_{i + 1}" for i in range(spec.domain.dim)] + ["m", "value"])
         for m in m_list:
-            for row, v in zip(t, terms[m - 1]):
+            for row, v in zip(t, terms[:, m - 1]):
                 writer.writerow([repr(float(c)) for c in row] + [m, repr(float(v))])

@@ -12,9 +12,10 @@ module computes the quantities the Monte-Carlo method is driven by:
   contractivity checks read; a geometric-decay fit
   ``r_m ~ C * m^Delta * beta^m`` is kept as a diagnostic only.
 
-Deterministic integrals use composite midpoint quadrature with
-``QUAD_NODES`` nodes per dimension; midpoint avoids endpoint evaluation so
-merely-continuous kernels are safe.  Points are always arrays of shape
+The power norms read a composite midpoint rule with ``QUAD_NODES`` nodes
+per dimension; midpoint avoids endpoint evaluation so merely-continuous
+kernels are safe.  Solution values come from a Nystrom solve on tensor
+Gauss-Legendre nodes (``nystrom``).  Points are always arrays of shape
 ``(n, dim)`` and kernels/forcings are vectorized over a trailing
 coordinate axis: ``kernel(t, s)`` with ``t, s`` of shape ``(..., dim)``
 returns shape ``(...)``.
@@ -22,18 +23,19 @@ returns shape ``(...)``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractivityError
+from .errors import BudgetError, ContractivityError
 from .rng import TAG_DISTANCE, TAG_NORM_MC, substream
 
-QUAD_NODES = 512         # nodes per dimension for deterministic integrals
+QUAD_NODES = 512         # midpoint nodes per dimension for the power norms
 DISTANCE_SAMPLE = 1000   # sample size for the custom-table distance
 _ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk of a grid x sample evaluation
+_NYSTROM_NODES = 48 ** 2      # Gauss-Legendre nodes per solve: a node matrix of at most 42 MB
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,15 @@ class MeasureSampler:
         """Midpoint nodes (N, dim) and the common weight 1/N for integrating
         against mu (exact-in-structure via the inverse-transform map)."""
         mid = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
-        mesh = np.meshgrid(*([mid] * domain.dim), indexing="ij")
-        u = np.stack([m.ravel() for m in mesh], axis=-1)
+        u = np.stack(np.meshgrid(*[mid] * domain.dim, indexing="ij"), axis=-1).reshape(-1, domain.dim)
         return self._map(u, domain), 1.0 / u.shape[0]
+
+    def gauss_nodes(self, domain: DomainSpec, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tensor Gauss-Legendre nodes (q^dim, dim) and their weights for
+        integrating against mu, mapped like ``quad_nodes``."""
+        x, w = np.polynomial.legendre.leggauss(q)
+        u = np.stack(np.meshgrid(*[(x + 1) / 2] * domain.dim, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+        return self._map(u, domain), functools.reduce(np.multiply.outer, [w / 2] * domain.dim).ravel()
 
 
 @dataclass(frozen=True)
@@ -197,43 +205,30 @@ class PowerNormTable:
 # quadrature helpers
 
 
-def quadrature_operator(spec: ProblemSpec, t: Optional[np.ndarray] = None, which=("S",),
-                        node_matrix: bool = False):
-    """The one Nystrom discretization of S and U (kernel K*K): the
-    ``QUAD_NODES`` midpoint nodes x and their weight w, a power of two, so
-    weighting keeps bits.  Returns ``(nodes, A, rows)``: ``rows`` yields
-    ``{L: w * K_L(t_c, x)}`` for L in ``which`` over row chunks t_c of
-    ``t`` of about ``_ROW_CHUNK_EVALS`` kernel values, one kernel call per
-    chunk; with ``node_matrix``, ``A[L] = w * K_L(x, x)`` comes from the
-    first call.  ``t`` defaults to the operator-norm points: in 1-D the
-    nodes (r_1 on the path of the quadrature integral, r_m exactly
-    submultiplicative) plus the box ends (suprema of monotone kernels),
-    above 1-D the output grid.
-    """
+def _kernel_matrix(spec: ProblemSpec, p: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """K(p_i, x_j) from one kernel call; ValueError naming a non-finite value's node and point."""
+    k = np.asarray(spec.kernel(p[:, None, :], nodes[None, :, :]), dtype=float)
+    if not np.all(np.isfinite(k)):
+        i, j = np.argwhere(~np.isfinite(k))[0]
+        raise ValueError(f"non-finite kernel value at node index {j}, point t={p[i]}, s={nodes[j]}")
+    return k
+
+
+def quadrature_operator(spec: ProblemSpec, which=("S",)):
+    """The midpoint discretization of S and U (kernel K*K) for the power
+    norms: ``QUAD_NODES`` nodes x per dimension, weight w a power of two (so
+    weighting keeps bits).  Yields ``{L: w * K_L(p, x)}`` over row chunks p
+    of the operator-norm points, one kernel call each: in 1-D one chunk, the
+    nodes (rows = node matrix A_L, so r_m is exactly submultiplicative) and
+    the box ends (suprema of monotone kernels); above 1-D the output grid."""
     nodes, w = spec.mu.quad_nodes(spec.domain)
-    n = len(nodes)
-    if t is None:
-        t = (np.unique(np.concatenate([nodes, np.array(spec.domain.bounds).T]), axis=0)
-             if spec.domain.dim == 1 else spec.domain.grid())
-    pts = np.concatenate([nodes, t]) if node_matrix else t
-    step = max(_ROW_CHUNK_EVALS // n, n if node_matrix else 1)
-
-    def weighted(p: np.ndarray) -> dict:
-        k = np.asarray(spec.kernel(p[:, None, :], nodes[None, :, :]), dtype=float)
-        out = {L: w * (k * k if L == "U" else k) for L in which}
-        for v in out.values():
-            if not np.all(np.isfinite(v)):
-                i, j = np.argwhere(~np.isfinite(v))[0]
-                raise ValueError(f"non-finite kernel value at node index {j}, point t={p[i]}, "
-                                 f"s={nodes[j]}")
-        return out
-
-    rows = (weighted(pts[lo:lo + step]) for lo in range(0, len(pts), step))
-    if not node_matrix:
-        return nodes, {}, rows
-    head = next(rows)
-    return (nodes, {L: v[:n] for L, v in head.items()},
-            itertools.chain([{L: v[n:] for L, v in head.items()}], rows))
+    if spec.domain.dim == 1:
+        pts, step = np.concatenate([nodes, np.array(spec.domain.bounds).T]), len(nodes) + 2
+    else:
+        pts, step = spec.domain.grid(), max(1, _ROW_CHUNK_EVALS // len(nodes))
+    for lo in range(0, len(pts), step):
+        k = _kernel_matrix(spec, pts[lo:lo + step], nodes)
+        yield {L: w * (k * k if L == "U" else k) for L in which}
 
 
 def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
@@ -244,45 +239,69 @@ def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
     return float(_power_norms_quadrature(spec, 1, (which,))[which][0])
 
 
-def _one_signed(a: np.ndarray) -> bool:
-    return bool(np.all(a >= 0) or np.all(a <= 0))
-
-
 def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")) -> dict:
-    """r_m(L) for L in ``which`` from the quadrature operator.
+    """r_m(L) for L in ``which`` from the quadrature operator (m > 1 in 1-D,
+    where the first n rows of E_1 = w * K_L(p, x) are the node matrix A_L).
 
-    With E_1 = w * K_L(t, x) on the operator-norm points and A_L the node
-    matrix, r_m = max_i sum_l |E_1 A_L^(m-1)|[i,l], the sup-row-sum of the
-    iterated kernel.  The absolute value sits outside the chain, so this is
-    the true operator norm of L^m, not a product bound.  When A_L and a row
-    chunk of E_1 each have one sign, |E_1 A^(m-1)| = |E_1| |A|^(m-1)
-    entrywise, so the row sums are |E_1| g_m with the vector chain g_1 = 1,
-    g_{m+1} = |A| g_m.  U (kernel K*K) always has one sign; a mixed-sign S
-    keeps the matrix powers E_{m+1} = E_m @ A_L.  Each chain product is an
-    elementwise product reduced by numpy's pairwise row sum, whose order
-    does not depend on the number of BLAS threads.
+    r_m = max_i sum_l |E_1 A_L^(m-1)|[i,l], the sup-row-sum of the iterated
+    kernel: the true operator norm of L^m, not a product bound.  When E_1
+    has one sign, |E_1 A^(m-1)| = |E_1| |A|^(m-1) entrywise, so the row sums
+    are |E_1| g_m with g_1 = 1, g_{m+1} = |A| g_m: g_{m+1} itself at the
+    node rows, so only the two box-end rows take their own products.  A
+    mixed-sign S keeps the matrix powers E_{m+1} = E_m @ A_L.  Each chain
+    product is reduced by numpy's pairwise row sum, whose order does not
+    depend on the number of BLAS threads.
     """
-    _, A, rows = quadrature_operator(spec, which=which, node_matrix=m_max > 1)
-    chains = {}  # L -> [g_2, ..., g_{m_max}] for one-signed A_L
-    for L, a in A.items():
-        if _one_signed(a):
-            a, g = np.abs(a), [np.ones(len(a))]
-            for _ in range(m_max - 1):
-                g.append((a * g[-1]).sum(axis=1))
-            chains[L] = g[1:]
     r = {L: np.zeros(m_max) for L in which}
-    for chunk in rows:
+    for chunk in quadrature_operator(spec, which):
         for L, E in chunk.items():
-            absE = np.abs(E)
-            r[L][0] = max(r[L][0], float(np.max(absE.sum(axis=1))))
-            if L in chains and _one_signed(E):
-                for m, g in enumerate(chains[L], start=1):
-                    r[L][m] = max(r[L][m], float(np.max((absE * g).sum(axis=1))))
-            else:
-                for m in range(1, m_max):
-                    E = E @ A[L]
-                    r[L][m] = max(r[L][m], float(np.max(np.abs(E).sum(axis=1))))
+            n, chain = E.shape[1], bool(np.all(E >= 0) or np.all(E <= 0))
+            A, absE, g = E[:n], np.abs(E), np.ones(n)
+            for m in range(m_max):
+                if chain:
+                    ends = (absE[n:] * g).sum(axis=1)
+                    g = (absE[:n] * g).sum(axis=1)
+                    rm = max(float(np.max(g)), float(np.max(ends, initial=0.0)))
+                else:
+                    E = E @ A if m else E
+                    rm = float(np.max(np.abs(E).sum(axis=1)))
+                r[L][m] = max(r[L][m], rm)
     return r
+
+
+def gauss_legendre(spec: ProblemSpec, evaluate):
+    """``evaluate(x, w)`` on the Gauss-Legendre rules of mu with q = 12, 24,
+    48, ... nodes per axis until two successive results differ by at most
+    1e-14 max(|result|, ||f||) (||f|| so that a result that cancels to zero
+    stops at rounding) or the next rule has over ``_NYSTROM_NODES`` nodes
+    (BudgetError up front if q = 24 has).  Returns (result, q, diff): the
+    last result, its q and its largest difference from the one before."""
+    q, dim = 12, spec.domain.dim
+    if (2 * q) ** dim > _NYSTROM_NODES:
+        raise BudgetError(f"a Gauss-Legendre node matrix of {(2 * q) ** dim} nodes ({dim}-D) "
+                          f"exceeds the budget of {_NYSTROM_NODES}")
+    y = evaluate(*spec.mu.gauss_nodes(spec.domain, q))
+    while True:
+        q, prev = 2 * q, y
+        y = evaluate(*spec.mu.gauss_nodes(spec.domain, q))
+        diff = float(np.max(np.abs(y - prev), initial=0.0))
+        if diff <= 1e-14 * np.max(np.abs(y), initial=spec.f_norm) or (2 * q) ** dim > _NYSTROM_NODES:
+            return y, q, diff
+
+
+def nystrom(spec: ProblemSpec, t: np.ndarray, node_fn):
+    """(E node_fn(A, f(x)) on the points t, q, diff) by the Nystrom method
+    (Atkinson, The Numerical Solution of Integral Equations of the Second
+    Kind, CUP 1997) on ``gauss_legendre``'s nodes x and weights w:
+    A = w K(x, x), and E = w K(t, x) applied in row chunks."""
+    def solve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        g = node_fn(_kernel_matrix(spec, x, x) * w, np.asarray(spec.forcing(x), dtype=float))
+        out, step = np.empty((len(t),) + g.shape[1:]), max(1, _ROW_CHUNK_EVALS // len(x))
+        for lo in range(0, len(t), step):
+            out[lo:lo + step] = (_kernel_matrix(spec, t[lo:lo + step], x) * w) @ g
+        return out
+
+    return gauss_legendre(spec, solve)
 
 
 def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) -> np.ndarray:
@@ -360,8 +379,6 @@ def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") 
     elif method == "quadrature":
         if spec.domain.dim != 1 and m_max > 1:
             raise ValueError("quadrature power norms need dim=1; use method='mc'")
-        if m_max > 12:
-            raise ValueError("quadrature power norms are desk-scale: m_max <= 12")
         r = _power_norms_quadrature(spec, m_max)
         r_S, r_U = r["S"], r["U"]
     elif method == "mc":

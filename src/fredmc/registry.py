@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError
-from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec
+from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec, gauss_legendre
 
 KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
 
@@ -278,12 +278,24 @@ def _poly_mean(coeffs: Sequence[float], lo: float, hi: float) -> float:
     return float((P.polyval(hi, anti) - P.polyval(lo, anti)) / (hi - lo))
 
 
+def _roots_inside(coeffs, lo: float, hi: float) -> np.ndarray:
+    """Sorted real parts of the roots of poly inside (lo, hi), a superset of its real roots."""
+    roots = np.sort(P.polyroots(P.polytrim(list(coeffs))).real)
+    return roots[(roots > lo) & (roots < hi)]
+
+
 def _poly_sup(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    """Exact sup|poly| on [lo, hi]: the max over the ends and the real parts
-    of the roots of poly' inside (a spurious point cannot exceed the sup)."""
-    crit = P.polyroots(P.polyder(P.polytrim(list(coeffs)))).real
-    xs = np.concatenate([[lo, hi], crit[(crit > lo) & (crit < hi)]])
+    """Exact sup|poly| on [lo, hi]: the max over the ends and the roots of
+    poly' inside (a spurious point cannot exceed the sup)."""
+    xs = np.concatenate([[lo, hi], _roots_inside(P.polyder(P.polytrim(list(coeffs))), lo, hi)])
     return float(np.max(np.abs(P.polyval(xs, coeffs))))
+
+
+def _poly_abs_mean(coeffs: Sequence[float], lo: float, hi: float) -> float:
+    """Exact (1/(hi-lo)) * int_lo^hi |poly|: the antiderivative's absolute
+    increments between the roots inside, where poly keeps one sign."""
+    xs = np.concatenate([[lo], _roots_inside(coeffs, lo, hi), [hi]])
+    return float(np.sum(np.abs(np.diff(P.polyval(xs, P.polyint(list(coeffs)))))) / (hi - lo))
 
 
 def _forcing_from(config, domain: DomainSpec):
@@ -349,8 +361,7 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
         # r_m(S) = sup|a| * |int a b|^(m-1) * int|b|;  U uses a^2, b^2.
         c_s = _poly_mean(P.polymul(a, b), lo, hi)
         c_u = _poly_mean(P.polymul(P.polymul(a, a), P.polymul(b, b)), lo, hi)
-        xs = np.linspace(lo + (hi - lo) / 8192, hi - (hi - lo) / 8192, 4096)
-        int_abs_b = float(np.mean(np.abs(P.polyval(xs, b))))
+        int_abs_b = _poly_abs_mean(b, lo, hi)
         int_b2 = _poly_mean(P.polymul(b, b), lo, hi)
         a_deriv = tuple(P.polyder(a)) or (0.0,)
         lip_a = _poly_sup(a_deriv, lo, hi)
@@ -408,47 +419,30 @@ def fixture_gauss() -> ProblemSpec:
 
 
 def exact_solution(spec: ProblemSpec):
-    """Closed-form solution for registry problems that have one, else None.
-
-    constant:       y = f + gamma * int f / (1 - gamma)
-    separable-poly: y = f + a(t) * int(b f) / (1 - int(a b))
-    """
+    """Closed-form solution y = f + a(t) int(b f) / (1 - c) of the rank-one
+    registry kernels K = a(t) b(s) (constant: a = gamma, b = 1;
+    separable-poly) with |c| < 1, c = int(a b), else None.  int(b f) takes
+    ``problem.gauss_legendre``'s rule, whose q and diff the result keeps."""
     if spec.name == "constant":
-        gamma = spec.kernel.gamma
-        if abs(gamma) >= 1:
-            return None
-        nodes, w = spec.mu.quad_nodes(spec.domain, 2048)
-        int_f = float(np.sum(np.asarray(spec.forcing(nodes)) * w))
-        shift = gamma * int_f / (1.0 - gamma)
-        forcing = spec.forcing
-        return _Shifted(forcing, shift)
-    if spec.name == "separable-poly":
-        a, b = spec.kernel.a, spec.kernel.b
-        lo, hi = spec.domain.bounds[0]
-        c = _poly_mean(P.polymul(a, b), lo, hi)
-        if abs(c) >= 1:
-            return None
-        nodes, w = spec.mu.quad_nodes(spec.domain, 2048)
-        int_bf = float(np.sum(P.polyval(nodes[:, 0], b) * np.asarray(spec.forcing(nodes)) * w))
-        return _SeparableSolution(spec.forcing, a, int_bf / (1.0 - c))
-    return None
-
-
-@dataclass(frozen=True)
-class _Shifted:
-    f: object
-    shift: float
-
-    def __call__(self, x):
-        return np.asarray(self.f(x)) + self.shift
+        c = spec.kernel.gamma
+    elif spec.name == "separable-poly":
+        c = _poly_mean(P.polymul(spec.kernel.a, spec.kernel.b), *spec.domain.bounds[0])
+    else:
+        return None
+    if abs(c) >= 1:
+        return None
+    a, b = spec.kernel.factors()
+    int_bf, q, diff = gauss_legendre(spec, lambda x, w: np.sum(w * b(x) * spec.forcing(x)))
+    return _SeparableSolution(spec.forcing, a, float(int_bf / (1.0 - c)), q, diff)
 
 
 @dataclass(frozen=True)
 class _SeparableSolution:
     f: object
-    a: tuple[float, ...]
+    a: object
     coef: float
+    q: int
+    diff: float
 
     def __call__(self, x):
-        x = np.asarray(x)
-        return np.asarray(self.f(x)) + _horner(x[..., 0], self.a) * self.coef
+        return np.asarray(self.f(x)) + np.asarray(self.a(x)) * self.coef

@@ -140,6 +140,26 @@ def test_coverage_study_artifacts(tmp_path):
     assert all(r["covered"] in ("0", "1") for r in rows)
     manifest = json.loads((tmp_path / "cov" / "manifest.json").read_text())
     assert 0.0 <= manifest["summary"]["coverage"] <= 1.0
+    # the t*s closed form's integral of b f, on Gauss-Legendre nodes
+    assert manifest["summary"]["reference_accuracy"]["q"] == 24
+    assert manifest["summary"]["reference_accuracy"]["diff"] <= 1e-15
+
+
+GAUSS_2D = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("mode, overrides", [
+    ("coverage-study", {"replications": 2, "budget": 5000, "n_sim": 10_000}),
+    ("rate-study", {"replications": 2, "budgets": [200, 800]})], ids=["coverage", "rate"])
+def test_studies_run_on_2d_gauss_conv(tmp_path, mode, overrides):
+    # the Gauss-Legendre Nystrom reference works above 1-D (the midpoint
+    # series refused nested quadrature there, exit 2)
+    path = _write_config(tmp_path, mode=mode, problem=GAUSS_2D, grid=7, norms_method="mc",
+                         m_max=8, epsilon=0.001, out_dir=str(tmp_path / "out"), **overrides)
+    assert main([mode, "--config", str(path)]) == 0
+    accuracy = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"][
+        "reference_accuracy"]
+    assert accuracy["q"] == 24 and accuracy["diff"] <= 1e-14
 
 
 def test_geometric_mode_writes_estimate(tmp_path):

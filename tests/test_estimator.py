@@ -546,7 +546,7 @@ def test_geometric_mean_constant_kernel(const_spec, const_pnt):
 
 def test_geometric_tracks_damped_solution(ts_spec, ts_pnt):
     grid = np.linspace(0, 1, 11)
-    ref = fm.damped_solution_oracle(ts_spec, 0.5, grid)
+    ref, *_ = fm.damped_solution_oracle(ts_spec, 0.5, grid)
     est = fm.solve_geometric(ts_spec, 0.5, 1000, 1_000_000, grid, seed=9, pnt=ts_pnt)
     # outer randomization noise at t=1: Var = (E 9^-tau - (E 3^-tau)^2)*4/M
     sd = np.sqrt((0.5 / (1 - 0.5 / 9) - 0.6 ** 2) * 4 / 1000)

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import fredmc as fm
 from fredmc.cli import _reference_solution
@@ -89,14 +90,21 @@ def test_tail_bound_on_submultiplicative_tables(C, beta, m_max, f_norm, log_eps)
     assert plan.tail_bound >= exact * (1.0 - 1e-12)
 
 
-def _gauss_legendre_tail(spec, N, nodes_per_axis=24):
-    # sup over the output grid of sum_{m>N} S^m[f] = E A^N (I - A)^-1 f(x)
-    # from a dense Gauss-Legendre Nystrom discretization of the box
+def _gauss_legendre_rule(spec, nodes_per_axis):
+    # tensor Gauss-Legendre nodes of the box and their weights for the
+    # uniform probability measure, written out independently of fredmc
     g, w = np.polynomial.legendre.leggauss(nodes_per_axis)
     dim = spec.domain.dim
     x = np.stack(np.meshgrid(*[lo + (g + 1) * (hi - lo) / 2 for lo, hi in spec.domain.bounds],
                              indexing="ij"), axis=-1).reshape(-1, dim)
     wx = np.stack(np.meshgrid(*[w / 2] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
+    return x, wx
+
+
+def _gauss_legendre_tail(spec, N, nodes_per_axis=24):
+    # sup over the output grid of sum_{m>N} S^m[f] = E A^N (I - A)^-1 f(x)
+    # from a dense Gauss-Legendre Nystrom discretization of the box
+    x, wx = _gauss_legendre_rule(spec, nodes_per_axis)
     A = wx * spec.kernel(x[:, None, :], x[None, :, :])
     t = spec.domain.grid()
     E = wx * spec.kernel(t[:, None, :], x[None, :, :])
@@ -129,12 +137,23 @@ def test_apply_power_ts(ts_spec):
     assert np.allclose(fm.apply_power_quadrature(ts_spec, 2, grid), grid / 9, rtol=1e-5, atol=1e-9)
 
 
-def test_apply_power_infeasible(ts_spec):
-    with pytest.raises(fm.OracleInfeasible):
-        fm.apply_power_quadrature(ts_spec, 13, np.linspace(0, 1, 5))
+def test_apply_power_beyond_m_12_and_above_1d(ts_spec):
+    grid = np.linspace(0, 1, 5)
+    assert np.allclose(fm.apply_power_quadrature(ts_spec, 13, grid), grid / 3 ** 13,
+                       rtol=1e-13, atol=0)
     spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 5})
-    with pytest.raises(fm.OracleInfeasible):
-        fm.apply_power_quadrature(spec2d, 2, spec2d.domain.grid())
+    assert np.allclose(fm.apply_power_quadrature(spec2d, 2, spec2d.domain.grid()), 0.25,
+                       rtol=1e-14, atol=0)
+
+
+def test_oracle_refuses_an_oversize_node_matrix_up_front():
+    # 3-D at 24 Gauss-Legendre nodes per axis: a 13824^2 node matrix, 1.5 GB
+    spec3d = fm.build_problem("constant", {"gamma": 0.5, "grid": 2,
+                                           "bounds": [[0, 1], [0, 1], [0, 1]]})
+    spec3d, calls = _counting_kernel(spec3d)
+    with pytest.raises(fm.BudgetError, match="node matrix"):
+        fm.apply_power_quadrature(spec3d, 1, spec3d.domain.grid())
+    assert calls == []
 
 
 def test_oracle_constant_partial_sum(const_spec):
@@ -187,8 +206,18 @@ def test_bias_contract(const_spec, const_pnt, ts_spec, ts_pnt):
 
 def test_damped_solution_oracle(const_spec):
     # f=1, K=0.5, lam=0.5: y_lam = sum (0.25)^m = 4/3
-    vals = fm.damped_solution_oracle(const_spec, 0.5, np.linspace(0, 1, 5))
-    assert np.allclose(vals, 4.0 / 3.0, atol=1e-9)
+    vals, q, diff = fm.damped_solution_oracle(const_spec, 0.5, np.linspace(0, 1, 5))
+    assert np.allclose(vals, 4.0 / 3.0, rtol=1e-15, atol=0)
+    assert q == 24 and diff <= 1e-14
+
+
+def test_damped_oracle_looks_past_the_row_sum_bound():
+    # K = 6s - 3 has max row sum 1.5 >= 1/lam but rho = |int K| = 0: the
+    # eigenvalues decide, and the series converges
+    spec = fm.build_problem("separable-poly", {"a": [1.0], "b": [-3.0, 6.0], "grid": 11})
+    grid = spec.domain.grid()
+    vals, *_ = fm.damped_solution_oracle(spec, 1.0, grid)
+    np.testing.assert_allclose(vals, fm.exact_solution(spec)(grid), rtol=0, atol=1e-14)
 
 
 def test_export_power_csv(tmp_path, ts_spec):
@@ -209,20 +238,25 @@ def _counting_kernel(spec):
 
 
 def test_export_power_csv_builds_the_operator_once(tmp_path, gauss_spec):
-    spec, calls = _counting_kernel(gauss_spec)
+    # one Nystrom solve per Gauss-Legendre rule serves every m: the kernel
+    # calls do not depend on how many powers are written
     grid = np.linspace(0, 1, 7)
+    spec, calls = _counting_kernel(gauss_spec)
+    export_power_csv(tmp_path / "one.csv", spec, grid, [3])
+    one = len(calls)
     path = tmp_path / "powers.csv"
     export_power_csv(path, spec, grid, [3, 1, 2])
-    assert len(calls) == 1
+    assert len(calls) - one == one
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [int(r[1]) for r in rows] == [3] * 7 + [1] * 7 + [2] * 7
     for k, m in enumerate((3, 1, 2)):
         expected = fm.apply_power_quadrature(gauss_spec, m, grid)
-        assert [float(r[2]) for r in rows[7 * k:7 * (k + 1)]] == expected.tolist()
+        np.testing.assert_allclose([float(r[2]) for r in rows[7 * k:7 * (k + 1)]], expected,
+                                   rtol=1e-14, atol=0)
 
 
 def test_oracle_names_the_point_of_a_nonfinite_kernel_value(ts_spec):
-    node = 153.5 / 512  # quadrature node 153 of [0, 1]
+    node = (np.polynomial.legendre.leggauss(12)[0][5] + 1) / 2  # Gauss-Legendre node 5 of [0, 1]
 
     def kernel(t, s):
         t, s = np.asarray(t), np.asarray(s)
@@ -230,42 +264,78 @@ def test_oracle_names_the_point_of_a_nonfinite_kernel_value(ts_spec):
 
     spec = dataclasses.replace(ts_spec, kernel=kernel)
     plan = fm.TruncationPlan(0.01, 3, 0.0, "fit-based")
-    with pytest.raises(ValueError, match=r"non-finite kernel value .*node index 153, point t=.*, "
-                                         r"s=\[0\.29980469\]"):
+    with pytest.raises(ValueError, match=r"non-finite kernel value .*node index 5, point t=.*, "
+                                         r"s=\[0\.4373833\]"):
         fm.truncated_solution_oracle(spec, plan, np.linspace(0, 1, 5))
 
 
 def test_first_power_above_1d_streams_row_chunks():
-    # 25 grid points x 512^2 nodes: the evaluation row is applied chunk by
-    # chunk; no node matrix is built
-    spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 5})
+    # 101^2 grid points x 24^2 nodes: E = w K(t, x) is applied chunk by
+    # chunk, never as a whole array
+    spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 101})
     spec2d, calls = _counting_kernel(spec2d)
     vals = fm.apply_power_quadrature(spec2d, 1, spec2d.domain.grid())
-    assert np.all(vals == 0.5)
+    assert np.allclose(vals, 0.5, rtol=1e-14, atol=0)
     assert max(shape[0] * shape[1] for shape in calls) <= 2_000_000
+    assert sum(shape[1] == 24 ** 2 for shape in calls) > 2  # E's chunks and A at q = 24
 
 
-def test_damped_oracle_refuses_nested_quadrature_above_1d():
+def _gauss_legendre_solve(spec, t, lam, nodes_per_axis=64):
+    # independent dense reference: y(t) = f(t) + lam E (I - lam A)^-1 f(x)
+    # on Gauss-Legendre nodes x, E = w K(t, x), A = w K(x, x)
+    x, w = _gauss_legendre_rule(spec, nodes_per_axis)
+    A = w * spec.kernel(x[:, None, :], x[None, :, :])
+    E = w * spec.kernel(t[:, None, :], x[None, :, :])
+    y_nodes = np.linalg.solve(np.eye(len(x)) - lam * A, spec.forcing(x))
+    return spec.forcing(t) + lam * E @ y_nodes
+
+
+def test_damped_oracle_solves_above_1d():
     spec2d = fm.build_problem("constant", {"gamma": 0.5, "bounds": [[0, 1], [0, 1]], "grid": 5})
-    with pytest.raises(fm.OracleInfeasible):
-        fm.damped_solution_oracle(spec2d, 0.5, spec2d.domain.grid())
+    vals, *_ = fm.damped_solution_oracle(spec2d, 0.5, spec2d.domain.grid())
+    assert np.allclose(vals, 4.0 / 3.0, rtol=1e-14, atol=0)
+    gauss2d = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "grid": 9,
+                                              "bounds": [[0, 1], [0, 1]]})
+    t = gauss2d.domain.grid()
+    vals, q, diff = fm.damped_solution_oracle(gauss2d, 1.0, t)
+    assert q == 24 and diff <= 1e-14 * np.max(np.abs(vals))
+    assert np.max(np.abs(vals - _gauss_legendre_solve(gauss2d, t, 1.0, 32))) <= 1e-13
 
 
-def _nystrom_solve(spec, t):
-    # independent dense reference: y(t) = f(t) + E (I - A)^-1 f(x) on the
-    # midpoint nodes x, E = w K(t, x), A = w K(x, x)
-    nodes, w = spec.mu.quad_nodes(spec.domain)
-    A = w * spec.kernel(nodes[:, None, :], nodes[None, :, :])
-    E = w * spec.kernel(t[:, None, :], nodes[None, :, :])
-    y_nodes = np.linalg.solve(np.eye(len(nodes)) - A, spec.forcing(nodes))
-    return spec.forcing(t) + E @ y_nodes
+def test_reference_is_the_uncapped_nystrom_solution(const_spec, ts_spec, gauss_spec):
+    # gauss-conv wants N = 16 at a 1e-8 tail, so a series cut at N = 12 is
+    # 3.8e-7 off; the 512-node midpoint series was 3.4e-7 off
+    for spec in (const_spec, ts_spec, gauss_spec):
+        grid = spec.domain.grid()
+        for lam in (1.0, 0.5):
+            ref = (_reference_solution(spec) if lam == 1.0
+                   else fm.damped_solution_oracle(spec, lam, grid))[0]
+            assert np.max(np.abs(ref - _gauss_legendre_solve(spec, grid, lam))) <= 1e-13
 
 
-def test_reference_is_the_uncapped_nystrom_solution(gauss_spec):
-    # gauss-conv wants N = 16 at a 1e-8 tail; a series cut at N = 12 is 3.8e-7 off
-    grid = gauss_spec.domain.grid()
-    ref = _reference_solution(gauss_spec)
-    assert np.max(np.abs(ref - _nystrom_solve(gauss_spec, grid))) <= 1e-12
+def test_closed_form_reference_is_exact_on_ts(ts_spec):
+    # the t*s closed form took int b f from 2048 midpoint nodes, 2.98e-8 off 1.5 t
+    grid = ts_spec.domain.grid()
+    ref, accuracy = _reference_solution(ts_spec)
+    assert np.max(np.abs(ref - 1.5 * grid[:, 0])) <= 1e-15
+    assert accuracy["q"] == 24 and accuracy["diff"] <= 1e-15
+
+
+_COEFFS = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(a=_COEFFS, b=_COEFFS, f=_COEFFS)
+def test_damped_oracle_matches_the_separable_closed_form(a, b, f):
+    # K(t, s) = a(t) b(s) has the one nonzero eigenvalue int a b, so the
+    # series converges for |int a b| < 1
+    c = P.polyval(1.0, P.polyint(P.polymul(a, b)))
+    assume(abs(c) < 0.95 and any(a))
+    spec = fm.build_problem("separable-poly", {"a": a, "b": b, "grid": 11,
+                                               "forcing": {"kind": "poly", "coeffs": f}})
+    grid = spec.domain.grid()
+    vals, *_ = fm.damped_solution_oracle(spec, 1.0, grid)
+    np.testing.assert_allclose(vals, fm.exact_solution(spec)(grid), rtol=0, atol=1e-12)
 
 
 def test_reference_refuses_a_divergent_series():

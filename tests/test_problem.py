@@ -71,6 +71,13 @@ def test_analytic_registry_matches_quadrature(ts_spec, ts_pnt):
     assert np.allclose(pnt_a.r_U, ts_pnt.r_U, rtol=1e-4)
 
 
+def test_analytic_norm_integrates_abs_b_exactly():
+    # b(s) = 3s - 1 changes sign at 1/3: int |b| = 1/6 + 2/3 = 5/6; a 4096-point
+    # mean gave r_1(S) = 0.8333333134651184, below the true norm
+    spec = fm.build_problem("separable-poly", {"a": [1.0], "b": [-1.0, 3.0]})
+    assert spec.analytic_norms(1, "S") == pytest.approx(5 / 6, rel=2e-16)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(coeffs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=7),
        x=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=9))
@@ -123,14 +130,15 @@ def test_power_norms_mc_rows_are_chunked():
 
 
 def _dense_power_norms(spec, m_max):
-    # the matrix powers E_{m+1} = E_m @ A, reduced by absolute row sums
-    _, A, rows = quadrature_operator(spec, which=("S", "U"), node_matrix=True)
-    E = next(rows)
+    # the matrix powers E_{m+1} = E_m @ A over every row (the nodes, whose
+    # rows are A, then the two box ends), reduced by absolute row sums
+    E = next(quadrature_operator(spec, which=("S", "U")))
     r = {L: [] for L in E}
     for L in E:
+        A = E[L][:-2]
         for _ in range(m_max):
             r[L].append(float(np.max(np.abs(E[L]).sum(axis=1))))
-            E[L] = E[L] @ A[L]
+            E[L] = E[L] @ A
     return {L: np.array(v) for L, v in r.items()}
 
 
@@ -153,8 +161,9 @@ def test_mixed_sign_S_keeps_matrix_powers_and_U_takes_the_chain():
     spec = fm.build_problem("separable-poly", {"a": [-0.5, 1.0], "b": [0.0, 1.0]})
     r = _power_norms_quadrature(spec, 12)
     assert np.array_equal(r["S"], _dense_power_norms(spec, 12)["S"])
-    _, A, rows = quadrature_operator(spec, which=("U",), node_matrix=True)
-    absA, absE = np.abs(A["U"]), np.abs(next(rows)["U"])
+    # the chain's products over every row, the node rows included
+    absE = np.abs(next(quadrature_operator(spec, which=("U",)))["U"])
+    absA = absE[:-2]
     g, chain = np.ones(len(absA)), [float(np.max(absE.sum(axis=1)))]
     for _ in range(11):
         g = (absA * g).sum(axis=1)
