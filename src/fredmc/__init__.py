@@ -16,7 +16,7 @@ from .estimator import (CovarianceModel, EstimateTable, derivative_solve, estima
                         tensor_integrand)
 from .neumann import (TruncationPlan, apply_power_quadrature, choose_truncation,
                       damped_solution_oracle, truncated_solution_oracle)
-from .problem import (DomainSpec, Fit, MeasureSampler, Metric, PowerNormTable, ProblemSpec,
+from .problem import (DomainSpec, MeasureSampler, Metric, PowerNormTable, ProblemSpec,
                       natural_distance, operator_norm, power_norms)
 from .registry import build_problem, exact_solution, fixture_constant_half, fixture_gauss, fixture_ts
 
@@ -30,7 +30,7 @@ __all__ = [
     "estimate_parametric_integral", "solve_fredholm_mc", "solve_geometric", "tensor_integrand",
     "TruncationPlan", "apply_power_quadrature", "choose_truncation",
     "damped_solution_oracle", "truncated_solution_oracle",
-    "DomainSpec", "Fit", "MeasureSampler", "Metric", "PowerNormTable", "ProblemSpec",
+    "DomainSpec", "MeasureSampler", "Metric", "PowerNormTable", "ProblemSpec",
     "natural_distance", "operator_norm", "power_norms",
     "build_problem", "exact_solution", "fixture_constant_half", "fixture_gauss", "fixture_ts",
 ]

@@ -287,8 +287,7 @@ def _run_allocate(cfg: ExperimentConfig, out, t0) -> int:
     alloc.to_json(out / "allocation.json")
     _write_manifest(out, cfg, ["allocation.json"],
                     {"N": plan.N, "tail_bound": plan.tail_bound, "tail_basis": plan.basis,
-                     "beta_S": pnt.fit_s.beta, "beta_U": pnt.fit.beta,
-                     "phi_predicted": alloc.phi_predicted}, t0)
+                     "norms_accuracy": pnt.accuracy, "phi_predicted": alloc.phi_predicted}, t0)
     print(f"allocate-only: N={plan.N} cost_B={alloc.cost_B} phi={alloc.phi_predicted:.6g}")
     return 0
 
@@ -320,7 +319,8 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
         est = solver(spec, plan, alloc, grid, cfg.seed, collect_covariance=collect)
         bands, cov = _bands_for(cfg, spec, alloc, est, cfg.budget)
-        summary.update(N=plan.N, tail_bound=plan.tail_bound, tail_basis=plan.basis)
+        summary.update(N=plan.N, tail_bound=plan.tail_bound, tail_basis=plan.basis,
+                       norms_accuracy=pnt.accuracy)
     if est.mode != "geometric":
         summary["first_factor"] = _first_factor_summary(spec, est)
 
@@ -409,7 +409,8 @@ def _run_rate_study(cfg: ExperimentConfig, out, t0) -> int:
         w.writerow(["method", "n", "replication", "sup_error"])
         for method, n, r, e in rows:
             w.writerow([method, n, r, _fmt(e)])
-    _write_manifest(out, cfg, ["rates.csv"], {"slopes": slopes, "reference_accuracy": accuracy}, t0)
+    _write_manifest(out, cfg, ["rates.csv"], {"slopes": slopes, "reference_accuracy": accuracy,
+                                              "norms_accuracy": pnt.accuracy}, t0)
     print("rate-study slopes: " + ", ".join(f"{k}={v:.3f}" for k, v in slopes.items()))
     return 0
 
@@ -424,7 +425,7 @@ def _coverage_rep(cfg, spec, plan, alloc, ref, rep) -> int:
 
 def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
-    _, plan, alloc = _pipeline(cfg, spec)
+    pnt, plan, alloc = _pipeline(cfg, spec)
     ref, accuracy = _reference_solution(spec)
     tasks = [lambda r=r: _coverage_rep(cfg, spec, plan, alloc, ref, r)
              for r in range(cfg.replications)]
@@ -436,7 +437,8 @@ def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
             w.writerow([r, c])
     rate = float(np.mean(covered))
     _write_manifest(out, cfg, ["coverage.csv"], {"coverage": rate, "delta": cfg.delta, "N": plan.N,
-                                                 "reference_accuracy": accuracy}, t0)
+                                                 "reference_accuracy": accuracy,
+                                                 "norms_accuracy": pnt.accuracy}, t0)
     print(f"coverage-study: {rate:.3f} over {cfg.replications} replications (target {1 - cfg.delta})")
     return 0
 

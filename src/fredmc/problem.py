@@ -9,13 +9,14 @@ module computes the quantities the Monte-Carlo method is driven by:
 * operator norms ``||S||``, ``||U||`` (``U`` has kernel ``K^2``),
 * power norms ``r_m(L) = ||L^m||`` for ``m = 1..m_max`` and the bound
   ``min_k r_k^(1/k)`` on the spectral radius (Gelfand's formula) that the
-  contractivity checks read; a geometric-decay fit
-  ``r_m ~ C * m^Delta * beta^m`` is kept as a diagnostic only.
+  contractivity checks read.
 
-The power norms read a composite midpoint rule with ``QUAD_NODES`` nodes
-per dimension; midpoint avoids endpoint evaluation so merely-continuous
-kernels are safe.  Solution values come from a Nystrom solve on tensor
-Gauss-Legendre nodes (``nystrom``).  Points are always arrays of shape
+One discretization serves both: tensor Gauss-Legendre nodes mapped through
+the measure, refined by ``gauss_legendre`` until two rules agree.  The
+power norms take the sup over those nodes and a fixed grid of the box
+(``_power_norms_quadrature``); solution values come from a Nystrom solve
+(``nystrom``).  Above 2-D the rule exceeds its node budget and only the
+Monte-Carlo norms run.  Points are always arrays of shape
 ``(n, dim)`` and kernels/forcings are vectorized over a trailing
 coordinate axis: ``kernel(t, s)`` with ``t, s`` of shape ``(..., dim)``
 returns shape ``(...)``.
@@ -25,17 +26,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetError, ContractivityError
 from .rng import TAG_DISTANCE, TAG_NORM_MC, substream
 
-QUAD_NODES = 512         # midpoint nodes per dimension for the power norms
 DISTANCE_SAMPLE = 1000   # sample size for the custom-table distance
 _ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk of a grid x sample evaluation
 _NYSTROM_NODES = 48 ** 2      # Gauss-Legendre nodes per solve: a node matrix of at most 42 MB
+_NORM_GRID = {1: 1025, 2: 65}  # points per axis of the fixed grid the power norms' sup_t covers
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class MeasureSampler:
         """Draw n mu-distributed points, shape (n, dim)."""
         return self._map(rng.random((n, domain.dim)), domain)
 
-    def quad_nodes(self, domain: DomainSpec, nodes_per_dim: int = QUAD_NODES) -> tuple[np.ndarray, float]:
+    def quad_nodes(self, domain: DomainSpec, nodes_per_dim: int) -> tuple[np.ndarray, float]:
         """Midpoint nodes (N, dim) and the common weight 1/N for integrating
         against mu (exact-in-structure via the inverse-transform map)."""
         mid = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
@@ -145,14 +146,6 @@ class Metric:
     def __post_init__(self):
         if self.kind not in ("holder", "log-power", "custom-table"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-
-
-class Fit(NamedTuple):
-    """Least-squares fit r_m ~ C * m^delta * beta^m (a diagnostic, not a bound)."""
-
-    C: float
-    delta: float
-    beta: float
 
 
 @dataclass
@@ -187,18 +180,14 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class PowerNormTable:
-    """Power norms r_m(S), r_m(U) for m = 1..m_max plus the decay fits.
-
-    ``fit`` (of r_m(U)) and ``fit_s`` (of r_m(S)) are diagnostics; every
-    decision reads the table itself.
-    """
+    """Power norms r_m(S), r_m(U) for m = 1..m_max, with the q and diff of
+    ``gauss_legendre``'s last rule as ``accuracy`` for quadrature norms."""
 
     m_max: int
     r_S: np.ndarray
     r_U: np.ndarray
-    fit: Fit
-    fit_s: Fit
     estimation_method: str
+    accuracy: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -214,68 +203,71 @@ def _kernel_matrix(spec: ProblemSpec, p: np.ndarray, nodes: np.ndarray) -> np.nd
     return k
 
 
-def quadrature_operator(spec: ProblemSpec, which=("S",)):
-    """The midpoint discretization of S and U (kernel K*K) for the power
-    norms: ``QUAD_NODES`` nodes x per dimension, weight w a power of two (so
-    weighting keeps bits).  Yields ``{L: w * K_L(p, x)}`` over row chunks p
-    of the operator-norm points, one kernel call each: in 1-D one chunk, the
-    nodes (rows = node matrix A_L, so r_m is exactly submultiplicative) and
-    the box ends (suprema of monotone kernels); above 1-D the output grid."""
-    nodes, w = spec.mu.quad_nodes(spec.domain)
-    if spec.domain.dim == 1:
-        pts, step = np.concatenate([nodes, np.array(spec.domain.bounds).T]), len(nodes) + 2
-    else:
-        pts, step = spec.domain.grid(), max(1, _ROW_CHUNK_EVALS // len(nodes))
-    for lo in range(0, len(pts), step):
-        k = _kernel_matrix(spec, pts[lo:lo + step], nodes)
-        yield {L: w * (k * k if L == "U" else k) for L in which}
-
-
 def operator_norm(spec: ProblemSpec, which: str = "S") -> float:
     """Sup-norm of the integral operator: sup_t int |K(t,s)| mu(ds)
     (kernel K^2 for which="U"), the r_1 of the quadrature power norms."""
     if which not in ("S", "U"):
         raise ValueError("which must be 'S' or 'U'")
-    return float(_power_norms_quadrature(spec, 1, (which,))[which][0])
+    return float(_power_norms_quadrature(spec, 1, (which,))[0][0, 0])
 
 
-def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")) -> dict:
-    """r_m(L) for L in ``which`` from the quadrature operator (m > 1 in 1-D,
-    where the first n rows of E_1 = w * K_L(p, x) are the node matrix A_L).
+def _power_norms_quadrature(spec: ProblemSpec, m_max: int, which=("S", "U")):
+    """(r, q, diff) of ``gauss_legendre``: r[i, m-1] = r_m(L) for L = which[i].
 
-    r_m = max_i sum_l |E_1 A_L^(m-1)|[i,l], the sup-row-sum of the iterated
-    kernel: the true operator norm of L^m, not a product bound.  When E_1
-    has one sign, |E_1 A^(m-1)| = |E_1| |A|^(m-1) entrywise, so the row sums
-    are |E_1| g_m with g_1 = 1, g_{m+1} = |A| g_m: g_{m+1} itself at the
-    node rows, so only the two box-end rows take their own products.  A
-    mixed-sign S keeps the matrix powers E_{m+1} = E_m @ A_L.  Each chain
-    product is reduced by numpy's pairwise row sum, whose order does not
-    depend on the number of BLAS threads.
+    On the rule's nodes x and weights w, E = w K_L(t, x) over the points t:
+    the nodes (rows A_L = w K_L(x, x), so r_m is exactly submultiplicative)
+    and the fixed grid ``domain.grid(_NORM_GRID[dim])``, in row chunks (the
+    first holds the node rows).  r_m = max_i sum_l |E A_L^(m-1)|[i,l], the
+    sup-row-sum of the iterated kernel: the operator norm of L^m, not a
+    product bound.  When A_L and a chunk of E each have one sign, |E
+    A^(m-1)| = |E| |A|^(m-1) entrywise, so the row sums are |E| g_m with
+    g_1 = 1, g_{m+1} = |A| g_m: g_{m+1} itself at the node rows.  Other
+    chunks keep the matrix powers E_{m+1} = E_m @ A_L.  Each chain product
+    is reduced by numpy's pairwise row sum, whose order does not depend on
+    the number of BLAS threads.
     """
-    r = {L: np.zeros(m_max) for L in which}
-    for chunk in quadrature_operator(spec, which):
-        for L, E in chunk.items():
-            n, chain = E.shape[1], bool(np.all(E >= 0) or np.all(E <= 0))
-            A, absE, g = E[:n], np.abs(E), np.ones(n)
-            for m in range(m_max):
-                if chain:
-                    ends = (absE[n:] * g).sum(axis=1)
-                    g = (absE[:n] * g).sum(axis=1)
-                    rm = max(float(np.max(g)), float(np.max(ends, initial=0.0)))
+    def one_signed(X):
+        return bool(np.all(X >= 0) or np.all(X <= 0))
+
+    def evaluate(x, w):
+        n = len(x)
+        t = np.concatenate([x, spec.domain.grid(_NORM_GRID[spec.domain.dim])])
+        step = max(1, _ROW_CHUNK_EVALS // n)
+        r, A, g = np.zeros((len(which), m_max)), {}, {}
+        for lo in (0, *range(n + step, len(t), step)):
+            k = _kernel_matrix(spec, t[lo:max(lo, n) + step], x)
+            for i, L in enumerate(which):
+                E = w * (k * k if L == "U" else k)
+                if lo == 0:
+                    A[L] = E[:n]
+                    if one_signed(A[L]):
+                        absA, g[L] = np.abs(A[L]), [np.ones(n)]
+                        for _ in range(m_max):
+                            g[L].append((absA * g[L][-1]).sum(axis=1))
+                        r[i] = [np.max(v) for v in g[L][1:]]
+                        E = E[n:]
+                if L in g and one_signed(E):
+                    absE = np.abs(E)
+                    rm = [np.max((absE * g[L][m]).sum(axis=1), initial=0.0) for m in range(m_max)]
                 else:
-                    E = E @ A if m else E
-                    rm = float(np.max(np.abs(E).sum(axis=1)))
-                r[L][m] = max(r[L][m], rm)
-    return r
+                    rm = []
+                    for m in range(m_max):
+                        E = E @ A[L] if m else E
+                        rm.append(np.max(np.abs(E).sum(axis=1)))
+                r[i] = np.maximum(r[i], rm)
+        return r
+
+    return gauss_legendre(spec, evaluate, floor=0.0)
 
 
-def gauss_legendre(spec: ProblemSpec, evaluate):
+def gauss_legendre(spec: ProblemSpec, evaluate, floor: Optional[float] = None):
     """``evaluate(x, w)`` on the Gauss-Legendre rules of mu with q = 12, 24,
     48, ... nodes per axis until two successive results differ by at most
-    1e-14 max(|result|, ||f||) (||f|| so that a result that cancels to zero
-    stops at rounding) or the next rule has over ``_NYSTROM_NODES`` nodes
-    (BudgetError up front if q = 24 has).  Returns (result, q, diff): the
-    last result, its q and its largest difference from the one before."""
+    1e-14 max(|result|, floor) (floor ||f|| unless given, so that a solution
+    value that cancels to zero stops at rounding) or the next rule has over
+    ``_NYSTROM_NODES`` nodes (BudgetError up front if q = 24 has).  Returns
+    (result, q, diff): the last result, its q and its largest difference
+    from the one before."""
     q, dim = 12, spec.domain.dim
     if (2 * q) ** dim > _NYSTROM_NODES:
         raise BudgetError(f"a Gauss-Legendre node matrix of {(2 * q) ** dim} nodes ({dim}-D) "
@@ -285,7 +277,8 @@ def gauss_legendre(spec: ProblemSpec, evaluate):
         q, prev = 2 * q, y
         y = evaluate(*spec.mu.gauss_nodes(spec.domain, q))
         diff = float(np.max(np.abs(y - prev), initial=0.0))
-        if diff <= 1e-14 * np.max(np.abs(y), initial=spec.f_norm) or (2 * q) ** dim > _NYSTROM_NODES:
+        scale = np.max(np.abs(y), initial=spec.f_norm if floor is None else floor)
+        if diff <= 1e-14 * scale or (2 * q) ** dim > _NYSTROM_NODES:
             return y, q, diff
 
 
@@ -342,59 +335,40 @@ def radius_bound(r) -> float:
     return float(np.min(r ** (1.0 / np.arange(1, len(r) + 1))))
 
 
-def _fit_decay(r: np.ndarray, m_lo: int = 2) -> Fit:
-    """Log-linear least squares of r_m against C * m^delta * beta^m over
-    m in [m_lo, m_max]; m=1 is excluded as routinely off-trend."""
-    m = np.arange(1, len(r) + 1)
-    sel = m >= min(m_lo, len(r))
-    ms, rs = m[sel], r[sel]
-    if np.any(rs <= 0):
-        raise ValueError("power norms must be positive to fit a decay law")
-    y = np.log(rs)
-    if len(ms) >= 3:
-        X = np.stack([np.ones_like(ms, dtype=float), np.log(ms), ms.astype(float)], axis=1)
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        logc, delta, logbeta = coef
-    else:
-        X = np.stack([np.ones_like(ms, dtype=float), ms.astype(float)], axis=1)
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        logc, logbeta = coef
-        delta = 0.0
-    return Fit(C=float(np.exp(logc)), delta=float(delta), beta=float(np.exp(logbeta)))
-
-
 def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") -> PowerNormTable:
-    """Power-norm table r_1..r_{m_max} for S and U with decay fits.
+    """Power-norm table r_1..r_{m_max} for S and U.
 
     Raises ContractivityError when no r_k(U)^(1/k) < 1: the spectral-radius
-    hypothesis the whole method rests on is not certified.
+    hypothesis the whole method rests on is not certified, and BudgetError
+    for quadrature norms above 2-D.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
+    accuracy = None
     if method == "analytic":
         if spec.analytic_norms is None:
             raise ValueError("spec has no analytic norm registry; use method='quadrature'")
         r_S = np.array([spec.analytic_norms(m, "S") for m in range(1, m_max + 1)])
         r_U = np.array([spec.analytic_norms(m, "U") for m in range(1, m_max + 1)])
     elif method == "quadrature":
-        if spec.domain.dim != 1 and m_max > 1:
-            raise ValueError("quadrature power norms need dim=1; use method='mc'")
-        r = _power_norms_quadrature(spec, m_max)
-        r_S, r_U = r["S"], r["U"]
+        try:
+            (r_S, r_U), q, diff = _power_norms_quadrature(spec, m_max)
+        except BudgetError as exc:
+            raise BudgetError(f'{exc}: quadrature power norms stop at 2-D; '
+                              'use norms_method: "mc"') from None
+        accuracy = {"q": q, "diff": diff}
     elif method == "mc":
         r_S = _power_norms_mc(spec, m_max, "S")
         r_U = _power_norms_mc(spec, m_max, "U")
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    fit_u = _fit_decay(r_U)
-    fit_s = _fit_decay(r_S)
     rho_u = radius_bound(r_U)
     if rho_u >= 1.0:
         raise ContractivityError(f"no r_k(U)^(1/k) < 1 for k <= {m_max} (smallest {rho_u:.6f}); "
                                  "spectral radius not certified < 1")
-    return PowerNormTable(m_max=m_max, r_S=r_S, r_U=r_U, fit=fit_u, fit_s=fit_s,
-                          estimation_method=method)
+    return PowerNormTable(m_max=m_max, r_S=r_S, r_U=r_U, estimation_method=method,
+                          accuracy=accuracy)
 
 
 def natural_distance(spec: ProblemSpec, t, s) -> float:

@@ -11,7 +11,7 @@ import pytest
 import fredmc as fm
 from fredmc.cli import main, run, validate_and_echo
 from fredmc.confidence import PsiFunction, solution_psi
-from fredmc.problem import Fit, PowerNormTable
+from fredmc.problem import PowerNormTable
 
 TS_PROBLEM = {"name": "separable-poly", "a": [0.0, 1.0], "b": [0.0, 1.0],
               "forcing": {"kind": "poly", "coeffs": [0.0, 1.0]}}
@@ -53,9 +53,7 @@ def test_criterion_2_allocation_optimality():
     t0 = time.monotonic()
     N, n = 5, 10 ** 5
     r_u = np.array([(1 / 3) * (1 / 5) ** (m - 1) for m in range(1, N + 1)])
-    pnt = PowerNormTable(m_max=N, r_S=np.sqrt(r_u), r_U=r_u,
-                         fit=Fit(1.0, 0.0, 0.2), fit_s=Fit(1.0, 0.0, 0.45),
-                         estimation_method="analytic")
+    pnt = PowerNormTable(m_max=N, r_S=np.sqrt(r_u), r_U=r_u, estimation_method="analytic")
     alloc = fm.optimal_allocation(pnt, N, n)
     bound = alloc.R_half * alloc.R_minus_half / n * (1 + 1e-2)
     sharp = alloc.R_half ** 2 / n

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import fredmc as fm
-from fredmc.problem import Fit, PowerNormTable
+from fredmc.problem import PowerNormTable
 
 
 def _pnt_from_ru(r_u):
     r_u = np.asarray(r_u, dtype=float)
-    return PowerNormTable(m_max=len(r_u), r_S=np.sqrt(r_u), r_U=r_u,
-                          fit=Fit(1.0, 0.0, 0.5), fit_s=Fit(1.0, 0.0, 0.5),
-                          estimation_method="analytic")
+    return PowerNormTable(m_max=len(r_u), r_S=np.sqrt(r_u), r_U=r_u, estimation_method="analytic")
 
 
 @pytest.fixture

@@ -152,14 +152,28 @@ GAUSS_2D = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0, "bounds": [[0, 1],
     ("coverage-study", {"replications": 2, "budget": 5000, "n_sim": 10_000}),
     ("rate-study", {"replications": 2, "budgets": [200, 800]})], ids=["coverage", "rate"])
 def test_studies_run_on_2d_gauss_conv(tmp_path, mode, overrides):
-    # the Gauss-Legendre Nystrom reference works above 1-D (the midpoint
-    # series refused nested quadrature there, exit 2)
-    path = _write_config(tmp_path, mode=mode, problem=GAUSS_2D, grid=7, norms_method="mc",
-                         m_max=8, epsilon=0.001, out_dir=str(tmp_path / "out"), **overrides)
-    assert main([mode, "--config", str(path)]) == 0
-    accuracy = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"][
-        "reference_accuracy"]
-    assert accuracy["q"] == 24 and accuracy["diff"] <= 1e-14
+    # the Gauss-Legendre Nystrom reference and power norms work above 1-D
+    # (the midpoint series and norms refused 2-D, exit 2)
+    for norms in ("mc", "quadrature"):
+        out = tmp_path / norms
+        path = _write_config(tmp_path, mode=mode, problem=GAUSS_2D, grid=7, norms_method=norms,
+                             m_max=8, epsilon=0.001, out_dir=str(out), **overrides)
+        assert main([mode, "--config", str(path)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        accuracy = summary["reference_accuracy"]
+        assert accuracy["q"] == 24 and accuracy["diff"] <= 1e-14
+        if norms == "quadrature":
+            assert summary["norms_accuracy"]["q"] == 24
+            assert summary["norms_accuracy"]["diff"] <= 1e-14
+        else:
+            assert summary["norms_accuracy"] is None
+
+
+def test_quadrature_norms_above_2d_exit_4_and_name_mc(tmp_path, capsys):
+    problem = {**GAUSS_2D, "bounds": [[0, 1]] * 3}
+    path = _write_config(tmp_path, problem=problem, grid=3, out_dir=str(tmp_path / "out"))
+    assert main(["solve", "--config", str(path)]) == 4
+    assert 'norms_method: "mc"' in capsys.readouterr().err
 
 
 def test_geometric_mode_writes_estimate(tmp_path):

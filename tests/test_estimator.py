@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import KernelTimesForcing
-from fredmc.problem import DomainSpec, Fit, MeasureSampler, PowerNormTable, ProblemSpec
+from fredmc.problem import DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
 from fredmc.registry import _taylor_rest
 
 
@@ -494,7 +494,7 @@ def test_derivative_extends_r_u_by_submultiplicativity(ts_spec):
     # extrapolation r_3^2 / r_2 would give 0.05; the counts follow the bound
     from fredmc.allocation import counts_from_weights
     r_u = np.array([0.5, 0.2, 0.1])
-    pnt = PowerNormTable(3, np.sqrt(r_u), r_u, Fit(1.0, 0.0, 0.5), Fit(1.0, 0.0, 0.7), "analytic")
+    pnt = PowerNormTable(3, np.sqrt(r_u), r_u, "analytic")
     alloc = fm.optimal_allocation(pnt, 3, 10_000)
     est = fm.derivative_solve(ts_spec, _plan(3), alloc, np.array([0.5]), seed=1)
     _, counts, _ = counts_from_weights(np.append(r_u, 0.04), 4, 10_000)

@@ -9,15 +9,13 @@ from numpy.polynomial import polynomial as P
 import fredmc as fm
 from fredmc.cli import _reference_solution
 from fredmc.neumann import export_power_csv, tail_bounds
-from fredmc.problem import Fit, PowerNormTable
+from fredmc.problem import PowerNormTable
 
 
 def _synthetic_pnt(C, delta, beta, m_max=10):
     m = np.arange(1, m_max + 1)
     r = C * m ** delta * beta ** m
-    return PowerNormTable(m_max=m_max, r_S=r, r_U=r ** 2,
-                          fit=Fit(C ** 2, delta, beta ** 2), fit_s=Fit(C, delta, beta),
-                          estimation_method="analytic")
+    return PowerNormTable(m_max=m_max, r_S=r, r_U=r ** 2, estimation_method="analytic")
 
 
 def test_choose_truncation_geometric_half():
@@ -38,9 +36,10 @@ def test_choose_truncation_contractivity():
 
 
 def test_choose_truncation_matches_direct_summation(ts_pnt):
-    # independent oracle: brute-force the minimal N for the fitted law
+    # independent oracle: brute-force the minimal N for the closed form
+    # r_m(S) = 1/2 (1/3)^(m-1) = C beta^m of the t*s kernel
     plan = fm.choose_truncation(ts_pnt, 1.0, 0.01)
-    C, delta, beta = ts_pnt.fit_s
+    C, delta, beta = 1.5, 0.0, 1 / 3
 
     def tail(n):
         return sum(C * m ** delta * beta ** m for m in range(n + 1, n + 400))
@@ -73,7 +72,7 @@ def test_tail_bound_on_submultiplicative_tables(C, beta, m_max, f_norm, log_eps)
     # beyond N is C beta^(N+1) / (1 - beta): the bound must cover it, N must
     # be the smallest with tail <= epsilon, and the tail must not rise in N
     r, eps = C * beta ** np.arange(1, m_max + 1), 10.0 ** log_eps
-    pnt = PowerNormTable(m_max, r, r ** 2, Fit(C, 0.0, beta), Fit(C, 0.0, beta), "analytic")
+    pnt = PowerNormTable(m_max, r, r ** 2, "analytic")
     if np.all(r >= 1.0):
         with pytest.raises(fm.ContractivityError):
             fm.choose_truncation(pnt, f_norm, eps)
@@ -113,15 +112,17 @@ def _gauss_legendre_tail(spec, N, nodes_per_axis=24):
 
 
 def test_tail_bound_covers_the_true_error_on_2d_gauss():
-    # the 2-D gauss-conv solve with MC norms: a fitted decay law put the
-    # tail at 0.005209, below the true truncation error 0.005263
+    # the 2-D gauss-conv solve with MC and with quadrature norms: a fitted
+    # decay law put the tail at 0.005209, below the true truncation error
+    # 0.005263; the quadrature table's bound is 0.005264
     spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "grid": 21,
                                            "bounds": [[0.0, 1.0], [0.0, 1.0]],
                                            "forcing": {"kind": "const", "value": 1.0}})
-    plan = fm.choose_truncation(fm.power_norms(spec, m_max=8, method="mc"), spec.f_norm, 0.01)
-    true_error = _gauss_legendre_tail(spec, plan.N)
-    assert plan.tail_bound >= true_error
-    assert plan.N == 3 and plan.source == "mc"
+    for method in ("mc", "quadrature"):
+        plan = fm.choose_truncation(fm.power_norms(spec, m_max=8, method=method), spec.f_norm, 0.01)
+        true_error = _gauss_legendre_tail(spec, plan.N)
+        assert plan.tail_bound >= true_error
+        assert plan.N == 3 and plan.source == method
 
 
 def test_apply_power_constant(const_spec):

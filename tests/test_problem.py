@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 import fredmc as fm
-from fredmc.problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric, ProblemSpec,
-                            _power_norms_mc, _power_norms_quadrature, quadrature_operator)
+from fredmc.problem import (_NORM_GRID, _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric,
+                            ProblemSpec, _power_norms_mc, _power_norms_quadrature)
 from fredmc.registry import _horner
 from fredmc.rng import TAG_NORM_MC, substream
 
@@ -66,9 +66,10 @@ def test_r2_S_matrix_power_matches_closed_form(ts_pnt):
 
 
 def test_analytic_registry_matches_quadrature(ts_spec, ts_pnt):
+    # the Gauss-Legendre rule is exact on the polynomial kernel t*s
     pnt_a = fm.power_norms(ts_spec, m_max=12, method="analytic")
-    assert np.allclose(pnt_a.r_S, ts_pnt.r_S, rtol=1e-4)
-    assert np.allclose(pnt_a.r_U, ts_pnt.r_U, rtol=1e-4)
+    assert np.allclose(pnt_a.r_S, ts_pnt.r_S, rtol=1e-12, atol=0)
+    assert np.allclose(pnt_a.r_U, ts_pnt.r_U, rtol=1e-12, atol=0)
 
 
 def test_analytic_norm_integrates_abs_b_exactly():
@@ -129,13 +130,22 @@ def test_power_norms_mc_rows_are_chunked():
         assert r[m - 1] == pytest.approx(np.max(first @ chain) / n, rel=n * np.finfo(float).eps)
 
 
-def _dense_power_norms(spec, m_max):
-    # the matrix powers E_{m+1} = E_m @ A over every row (the nodes, whose
-    # rows are A, then the two box ends), reduced by absolute row sums
-    E = next(quadrature_operator(spec, which=("S", "U")))
+def _norm_operator(spec, q):
+    # w K_L(t, x) on the q-node Gauss-Legendre rule x, w over every point t
+    # of the norms' sup: the nodes (whose rows are A) and the fixed grid
+    x, w = spec.mu.gauss_nodes(spec.domain, q)
+    t = np.concatenate([x, spec.domain.grid(_NORM_GRID[spec.domain.dim])])
+    k = spec.kernel(t[:, None, :], x[None, :, :])
+    return len(x), {"S": w * k, "U": w * (k * k)}
+
+
+def _dense_power_norms(spec, m_max, q):
+    # the matrix powers E_{m+1} = E_m @ A over every row, reduced by
+    # absolute row sums
+    n, E = _norm_operator(spec, q)
     r = {L: [] for L in E}
     for L in E:
-        A = E[L][:-2]
+        A = E[L][:n]
         for _ in range(m_max):
             r[L].append(float(np.max(np.abs(E[L]).sum(axis=1))))
             E[L] = E[L] @ A
@@ -149,8 +159,8 @@ def _dense_power_norms(spec, m_max):
 def test_power_norms_vector_chain_matches_matrix_powers(spec):
     # one-signed kernels: |E A^(m-1)| = |E| |A|^(m-1), so the vector chain
     # sums the same positive terms as the matrix powers, in another order
-    ref = _dense_power_norms(spec, 12)
     r = fm.power_norms(spec, 12, "quadrature")
+    ref = _dense_power_norms(spec, 12, r.accuracy["q"])
     for L, got in (("S", r.r_S), ("U", r.r_U)):
         assert got[0] == ref[L][0]
         np.testing.assert_allclose(got, ref[L], rtol=1e-14, atol=0)
@@ -159,16 +169,17 @@ def test_power_norms_vector_chain_matches_matrix_powers(spec):
 def test_mixed_sign_S_keeps_matrix_powers_and_U_takes_the_chain():
     # K(t, s) = (t - 1/2) s changes sign, K*K does not
     spec = fm.build_problem("separable-poly", {"a": [-0.5, 1.0], "b": [0.0, 1.0]})
-    r = _power_norms_quadrature(spec, 12)
-    assert np.array_equal(r["S"], _dense_power_norms(spec, 12)["S"])
+    (r_S, r_U), q, _ = _power_norms_quadrature(spec, 12)
+    assert np.array_equal(r_S, _dense_power_norms(spec, 12, q)["S"])
     # the chain's products over every row, the node rows included
-    absE = np.abs(next(quadrature_operator(spec, which=("U",)))["U"])
-    absA = absE[:-2]
-    g, chain = np.ones(len(absA)), [float(np.max(absE.sum(axis=1)))]
+    n, E = _norm_operator(spec, q)
+    absE = np.abs(E["U"])
+    absA = absE[:n]
+    g, chain = np.ones(n), [float(np.max(absE.sum(axis=1)))]
     for _ in range(11):
         g = (absA * g).sum(axis=1)
         chain.append(float(np.max((absE * g).sum(axis=1))))
-    assert np.array_equal(r["U"], chain)
+    assert np.array_equal(r_U, chain)
 
 
 _MC_BITS = """
@@ -177,15 +188,17 @@ from fredmc.problem import _power_norms_mc
 spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]],
                                        "grid": 21})
 print([float(r).hex() for L in ("S", "U") for r in _power_norms_mc(spec, 3, L)])
-pnt = fm.power_norms(fm.fixture_gauss(), 12, "quadrature")
-print([float(r).hex() for r in (*pnt.r_S, *pnt.r_U)])
+for spec in (fm.fixture_gauss(), fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0,
+                                                                  "bounds": [[0, 1], [0, 1]]})):
+    pnt = fm.power_norms(spec, 12, "quadrature")
+    print([float(r).hex() for r in (*pnt.r_S, *pnt.r_U)])
 """
 
 
 def test_power_norms_mc_bits_do_not_depend_on_blas_threads():
     # MC norms of 2-D gauss-conv on the 21^2 grid (a BLAS gemv over the rows
     # moved r_3(S) and r_2(U) by one ulp between one and two BLAS threads)
-    # and the quadrature norms of 1-D gauss-conv
+    # and the quadrature norms of 1-D and 2-D gauss-conv
     src = str(Path(fm.__file__).resolve().parents[1])
 
     def bits(threads):
@@ -199,6 +212,8 @@ def test_power_norms_mc_bits_do_not_depend_on_blas_threads():
 
 
 def test_power_norms_evaluate_the_kernel_once(gauss_spec, gauss_pnt):
+    # once per Gauss-Legendre rule tried: q = 12 and q = 24 on gauss-conv,
+    # each rule's nodes and fixed grid in one row chunk
     calls = []
 
     def kernel(t, s):
@@ -206,14 +221,37 @@ def test_power_norms_evaluate_the_kernel_once(gauss_spec, gauss_pnt):
         return gauss_spec.kernel(t, s)
 
     pnt = fm.power_norms(dataclasses.replace(gauss_spec, kernel=kernel), 12, "quadrature")
-    assert len(calls) == 1
+    assert len(calls) == 2 and pnt.accuracy["q"] == 24
     assert np.array_equal(pnt.r_S, gauss_pnt.r_S) and np.array_equal(pnt.r_U, gauss_pnt.r_U)
 
 
-def test_fit_recovers_geometric_decay(ts_pnt):
-    assert ts_pnt.fit_s.beta == pytest.approx(1 / 3, rel=1e-4)
-    assert ts_pnt.fit.beta == pytest.approx(1 / 5, rel=1e-4)
-    assert abs(ts_pnt.fit_s.delta) < 1e-6
+def test_power_norms_match_a_fine_reference(gauss_spec, gauss_pnt):
+    # sup over the 200 Gauss-Legendre nodes and 20,001 grid points of
+    # E A^(m-1) 1 (the row sums of a positive kernel's iterated matrix);
+    # the 512-node midpoint rule was 5.2e-6 off
+    x, w = gauss_spec.mu.gauss_nodes(gauss_spec.domain, 200)
+    t = np.concatenate([x, gauss_spec.domain.grid(20_001)])
+    k = gauss_spec.kernel(t[:, None, :], x[None, :, :])
+    for got, E in ((gauss_pnt.r_S, w * k), (gauss_pnt.r_U, w * k * k)):
+        v, ref = np.ones(len(x)), []
+        for _ in range(12):
+            ref.append(np.max(E @ v))
+            v = E[:len(x)] @ v
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_power_norms_do_not_depend_on_the_output_grid():
+    # the norms' sup runs over a fixed grid; the 512-node midpoint rule
+    # took the output grid above 1-D, where operator_norm read
+    # 0x1.29409f0858036p-2 at grid 10 and 0x1.2bdd983a2d576p-2 at grid 11
+    bits = set()
+    for grid in (10, 11, 41):
+        spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "grid": grid,
+                                               "bounds": [[0, 1], [0, 1]]})
+        pnt = fm.power_norms(spec, 12, "quadrature")
+        bits.add((pnt.r_S.tobytes(), pnt.r_U.tobytes(), fm.operator_norm(spec, "S"),
+                  fm.operator_norm(spec, "U")))
+    assert len(bits) == 1
 
 
 def test_contractivity_error_when_beta_ge_one():
@@ -223,17 +261,10 @@ def test_contractivity_error_when_beta_ge_one():
 
 
 def test_spectral_radius_proxy(ts_pnt, gauss_pnt):
-    # r_m(U)^(1/m) is non-increasing up to 2%, and the tail ratio
-    # r_{m+1}/r_m (the limit of the m-th roots) stays <= beta * 1.02
+    # r_m(U)^(1/m) is non-increasing up to 2%
     for pnt in (ts_pnt, gauss_pnt):
         roots = pnt.r_U ** (1.0 / np.arange(1, pnt.m_max + 1))
         assert np.all(roots[1:] <= roots[:-1] * 1.02)
-        assert pnt.r_U[-1] / pnt.r_U[-2] <= pnt.fit.beta * 1.02
-
-
-def test_rho1_le_sqrt_rho(ts_pnt, const_pnt, gauss_pnt):
-    for pnt in (ts_pnt, const_pnt, gauss_pnt):
-        assert pnt.fit_s.beta <= np.sqrt(pnt.fit.beta) + 0.02
 
 
 def test_natural_distance_holder(ts_spec):
@@ -309,7 +340,7 @@ def test_inverse_cdf_quadrature_consistent_with_sampling():
     # int x dmu for density 1/(2 sqrt(x)) is int_0^1 u^2 du = 1/3
     dom = DomainSpec(1, ((0.0, 1.0),))
     mu = MeasureSampler(kind="product-inverse-cdf", inverse_cdfs=(lambda u: u ** 2,))
-    nodes, w = mu.quad_nodes(dom)
+    nodes, w = mu.quad_nodes(dom, 512)
     assert float(np.sum(nodes[:, 0]) * w) == pytest.approx(1 / 3, rel=1e-5)
 
 
