@@ -224,9 +224,23 @@ def entropy_H(domain: DomainSpec, metric: Metric, eps):
 # gauss-sim band
 
 
-def _eigen_factor(Z: np.ndarray, trace: float) -> tuple[np.ndarray, float]:
-    """F (G x q) with F F^T = Z but for the clipped negative eigenvalues
-    and the cut tail, and that dropped mass relative to the trace."""
+def _eigen_factor(Z: np.ndarray, A: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+    """F (G x q) with F F^T = A Z A^T (Z itself when A is None) but for the
+    clipped negative eigenvalues and the cut tail, and that dropped mass
+    relative to the trace; q = 0 when the trace is not positive.
+
+    With the thin QR A = Q R, A Z A^T = Q (R Z R^T) Q^T, so the eigenpairs
+    (w, V) of the r x r matrix C = R Z R^T give F = Q V sqrt(w) and the
+    trace is that of C.  Each column of F is signed so that its largest
+    |entry| (the first of a tie) is positive: the eigensolver's signs are
+    arbitrary, and this makes F one function of the covariance."""
+    Q = None
+    if A is not None:
+        Q, R = np.linalg.qr(A)
+        Z = R @ Z @ R.T
+    trace = float(np.trace(Z))
+    if trace <= 0.0:
+        return np.zeros((Z.shape[0] if Q is None else Q.shape[0], 0)), 0.0
     w, V = np.linalg.eigh(Z)
     if not w[0] >= -_NEG_EIG_TOL * trace:  # also refuses NaN
         raise NotPSD(f"covariance eigenvalue {w[0]:.3g} < -{_NEG_EIG_TOL:g} * trace {trace:.3g}")
@@ -234,6 +248,10 @@ def _eigen_factor(Z: np.ndarray, trace: float) -> tuple[np.ndarray, float]:
     w = np.maximum(w, 0.0)
     cut = int(np.searchsorted(np.cumsum(w), _TRACE_CUT * trace, side="right"))
     F = V[:, cut:][:, ::-1] * np.sqrt(w[cut:][::-1])  # leading pair first
+    if Q is not None:
+        F = Q @ F
+    top = np.argmax(np.abs(F), axis=0)
+    F *= np.where(F[top, np.arange(F.shape[1])] < 0.0, -1.0, 1.0)
     return F, (clipped + float(w[:cut].sum())) / trace
 
 
@@ -243,7 +261,8 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
     """Empirical (1-delta) quantile of sup_t |X(t)| for the centered
     Gaussian field with the plug-in covariance; band half-width is
     u_delta / sqrt(n).  Each path is q normals times the covariance's eigen
-    factor; fixed-size batches, per-batch substreams, deterministic merge.
+    factor, taken through an r x r eigenproblem when the model is factored;
+    fixed-size batches, per-batch substreams, deterministic merge.
     With q = 1 a path is z F(t), so its sup is |z| max|F|: one product per
     path, and the same bits as the max over the grid, because rounding a
     product is monotone and symmetric in sign."""
@@ -253,12 +272,11 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
         raise ValueError("n_sim must be >= 1")
     if delta <= 0.05 and n_sim < 10_000:
         raise ValueError("need n_sim >= 1e4 for delta <= 0.05")
-    trace = float(np.trace(cov.Z_hat))
-    if trace <= 0.0:
-        sups, q, dropped = np.zeros(n_sim), 0, 0.0
+    F, dropped = _eigen_factor(cov.S, cov.A)
+    q = F.shape[1]
+    if q == 0:
+        sups = np.zeros(n_sim)
     else:
-        F, dropped = _eigen_factor(cov.Z_hat, trace)
-        q = F.shape[1]
         f_max = np.max(np.abs(F[:, 0])) if q == 1 else None
         chunks = []
         for b in range(0, n_sim, SIM_BATCH):
@@ -267,6 +285,7 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
             if f_max is None:
                 x = z @ F.T
                 chunks.append(np.max(np.abs(x, out=x), axis=1))
+                del x  # else this batch of paths lives on while the next is formed
             else:
                 chunks.append(np.abs(z[:, 0]) * f_max)
         sups = np.concatenate(chunks)

@@ -21,7 +21,9 @@ w and expands them over the grid, so no grid x tuple array is built.
 
 Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never
-materializes the tuples.
+materializes the tuples.  On the factored path a term keeps the r x r
+co-moment of w and the plug-in covariance is A S A^T with S r x r: no
+G x G array is formed unless something reads ``Z_hat``.
 """
 
 from __future__ import annotations
@@ -45,19 +47,37 @@ _FD_STEP = 1e-5  # central-difference step for a missing forcing derivative
 
 @dataclass
 class TermMoments:
-    """Streaming first/second moments of one term's per-tuple value field."""
+    """Streaming first/second moments of one term's per-tuple value field.
+
+    ``mean`` and ``m2_diag`` are over the grid.  ``m2`` is the co-moment of
+    the folded rows: over the grid on the general path (``a`` None), of the
+    r-vector w on the factored path, where the field is ``a @ w`` with
+    ``a`` the first factor over the grid (G x r)."""
 
     m: int
     theta: float
     count: int = 0
     mean: Optional[np.ndarray] = None
     m2_diag: Optional[np.ndarray] = None
-    m2_full: Optional[np.ndarray] = None
-    rank: Optional[int] = None      # first factor's rank r on the factored path
-    eps_k: Optional[float] = None   # its remainder bound |K - sum_k A_k B_k|
+    m2: Optional[np.ndarray] = None
+    a: Optional[np.ndarray] = None
+    eps_k: Optional[float] = None   # remainder bound |K - sum_k A_k B_k| of the factors
+
+    @property
+    def rank(self) -> Optional[int]:
+        """The first factor's rank r on the factored path, else None."""
+        return None if self.a is None else self.a.shape[1]
+
+    @property
+    def m2_full(self) -> Optional[np.ndarray]:
+        """Co-moment over the grid; on the factored path a M2_w a^T, formed
+        on each read."""
+        if self.m2 is None or self.a is None:
+            return self.m2
+        return (self.a @ self.m2) @ self.a.T
 
     def merge_block(self, vals: np.ndarray, full: bool) -> None:
-        """Fold one (grid, block) slab of per-tuple values into the running
+        """Fold one (rows, block) slab of per-tuple values into the running
         moments; merge order is the caller's block order."""
         nb = vals.shape[1]
         mean_b = vals.mean(axis=1)
@@ -65,7 +85,7 @@ class TermMoments:
         diag_b = np.einsum("gi,gi->g", centered, centered)
         full_b = centered @ centered.T if full else None
         if self.count == 0:
-            self.count, self.mean, self.m2_diag, self.m2_full = nb, mean_b, diag_b, full_b
+            self.count, self.mean, self.m2_diag, self.m2 = nb, mean_b, diag_b, full_b
             return
         na, n = self.count, self.count + nb
         delta = mean_b - self.mean
@@ -73,7 +93,7 @@ class TermMoments:
         self.mean = self.mean + delta * (nb / n)
         self.m2_diag = self.m2_diag + diag_b + delta * delta * scale
         if full:
-            self.m2_full = self.m2_full + full_b + np.outer(delta, delta) * scale
+            self.m2 = self.m2 + full_b + np.outer(delta, delta) * scale
         self.count = n
 
     def var_of_mean(self) -> np.ndarray:
@@ -106,14 +126,27 @@ class EstimateTable:
     factor_eps: Optional[float] = None
 
 
-@dataclass(frozen=True)
 class CovarianceModel:
-    """Plug-in covariance of the normalized limiting field on the grid."""
+    """Plug-in covariance Z = A S A^T of the normalized limiting field on
+    the grid.  Given ``Z_hat``, A is the identity (None) and S is Z_hat.
+    On the factored path A is the first factor over the grid (G x r) and
+    S is r x r; ``Z_hat`` is then formed on first read, for the export
+    and for callers that want the G x G matrix."""
 
-    t_grid: np.ndarray
-    Z_hat: np.ndarray
-    sigma_plus_sq: float
-    source: str = "plug-in-mc"
+    def __init__(self, t_grid: np.ndarray, Z_hat: Optional[np.ndarray] = None, *,
+                 sigma_plus_sq: float, source: str = "plug-in-mc",
+                 A: Optional[np.ndarray] = None, S: Optional[np.ndarray] = None):
+        if (Z_hat is None) == (A is None and S is None) or (A is None) != (S is None):
+            raise ValueError("give either Z_hat or both factors A and S")
+        self.t_grid, self.sigma_plus_sq, self.source = t_grid, sigma_plus_sq, source
+        self.A, self.S = A, Z_hat if A is None else S
+        self._z_hat = Z_hat
+
+    @property
+    def Z_hat(self) -> np.ndarray:
+        if self._z_hat is None:
+            self._z_hat = _symmetrized((self.A @ self.S) @ self.A.T)
+        return self._z_hat
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +232,10 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
     evaluates once for all its terms.  On the factored path (fac not None)
     the same block loop, with the same draws in the same order, folds the
-    r-vector w = B(x1) * tail and its r x r co-moment M2_w, which are
-    expanded over the grid: mean A mu_w, m2_diag rowwise(A M2_w A^T),
-    m2_full A M2_w A^T.  The diagonal of M2_w is the per-row one of
-    ``merge_block``, so r = 1 gives a * mu_w and a^2 * M2_w exactly.
+    r-vector w = B(x1) * tail and its r x r co-moment M2_w: mean A mu_w and
+    m2_diag rowwise(A M2_w A^T) are expanded over the grid, M2_w is kept
+    with A.  The diagonal of M2_w is the per-row one of ``merge_block``,
+    so r = 1 gives a * mu_w and a^2 * M2_w exactly.
     """
     if fac is None:
         values_of = functools.partial(_term_field, first, tail, grid)
@@ -222,13 +255,12 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
         done += nb
     if fac is None:
         return tm
-    m2 = np.diag(tm.m2_diag) if tm.m2_full is None else tm.m2_full
+    m2 = np.diag(tm.m2_diag) if tm.m2 is None else tm.m2
     np.fill_diagonal(m2, tm.m2_diag)
     return TermMoments(m=m, theta=theta, count=tm.count,
                        mean=np.einsum("gk,k->g", a_t, tm.mean),
                        m2_diag=np.einsum("gj,gk,jk->g", a_t, a_t, m2),
-                       m2_full=(a_t @ m2) @ a_t.T if collect_cov else None,
-                       rank=a_t.shape[1], eps_k=eps)
+                       m2=m2 if collect_cov else None, a=a_t, eps_k=eps)
 
 
 def _table(grid: np.ndarray, base, moments: list[TermMoments], n_used: int,
@@ -285,28 +317,42 @@ def solve_fredholm_mc(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAllo
                   alloc.cost_B * spec.domain.dim, seed, "solution", collect_covariance)
 
 
+def _clipped_diagonal(d: np.ndarray) -> np.ndarray:
+    """A covariance diagonal with rounding-level negatives set to 0."""
+    d = np.where((d < 0) & (d > -1e-12), 0.0, d)
+    if np.any(d < 0):
+        raise ValueError("covariance diagonal significantly negative; accumulation bug")
+    return d
+
+
+def _symmetrized(Z: np.ndarray) -> np.ndarray:
+    Z = (Z + Z.T) / 2.0
+    np.fill_diagonal(Z, _clipped_diagonal(np.diag(Z)))
+    return Z
+
+
 def estimate_covariance(spec: ProblemSpec, alloc: BudgetAllocation, t_grid,
                         samples: Sequence[TermMoments]) -> CovarianceModel:
     """Plug-in covariance of the sqrt(n)-normalized error field:
     Z_hat = sum_m cov_m / theta(m) with cov_m the per-tuple sample
-    covariance of term m across the grid."""
+    covariance of term m across the grid.  On the factored path
+    cov_m = A M2_w,m A^T / (count_m - 1) with the first factor A (G x r)
+    that all terms share, and the model keeps A and the r x r
+    S = sum_m M2_w,m / ((count_m - 1) theta_m); sigma_plus_sq, the largest
+    diagonal entry, comes from rowwise(A S A^T)."""
     grid = _as_points(spec, t_grid)
-    Z = np.zeros((grid.shape[0], grid.shape[0]))
     for tm in samples:
         if tm.count < 2:
             raise BudgetError(f"term with tuple length {tm.m} has {tm.count} replicate(s), "
                               "too few for a covariance estimate; raise the budget or epsilon")
-        if tm.m2_full is None:
+        if tm.m2 is None:
             raise ValueError("samples were collected without covariance accumulation")
-        Z += tm.m2_full / (tm.count - 1) / tm.theta
-    Z = (Z + Z.T) / 2.0
-    d = np.diag(Z).copy()
-    d[(d < 0) & (d > -1e-12)] = 0.0
-    if np.any(d < 0):
-        raise ValueError("covariance diagonal significantly negative; accumulation bug")
-    np.fill_diagonal(Z, d)
-    return CovarianceModel(t_grid=grid, Z_hat=Z, sigma_plus_sq=float(d.max()),
-                           source="plug-in-mc")
+    S = _symmetrized(sum(tm.m2 / (tm.count - 1) / tm.theta for tm in samples))
+    a = samples[0].a  # one engine call: every term shares the first factor
+    if a is None:
+        return CovarianceModel(t_grid=grid, Z_hat=S, sigma_plus_sq=float(np.diag(S).max()))
+    d = _clipped_diagonal(np.einsum("gk,gk->g", a @ S, a))
+    return CovarianceModel(t_grid=grid, sigma_plus_sq=float(d.max()), A=a, S=S)
 
 
 def _forcing_derivative(spec: ProblemSpec):

@@ -169,6 +169,23 @@ def test_studies_run_on_2d_gauss_conv(tmp_path, mode, overrides):
             assert summary["norms_accuracy"] is None
 
 
+@pytest.mark.parametrize("case", ["gauss-2d-default-epsilon", "coverage-workload"])
+def test_coverage_study_warns_when_truncation_bias_exceeds_the_band(tmp_path, capsys, case):
+    # coverage is judged against the full solution: a tail bound above the
+    # median half-width means the band cannot cover the truncation bias
+    if case == "gauss-2d-default-epsilon":
+        overrides = {"problem": GAUSS_2D, "replications": 4, "budget": 20_000}
+    else:  # t*s, n = 1e5, G = 101, 40 replications
+        overrides = {"epsilon": 1e-5, "budget": 10 ** 5, "grid": 101, "replications": 40}
+    cfg = {"grid": 11, "epsilon": 0.01, **overrides}
+    path = _write_config(tmp_path, mode="coverage-study", out_dir=str(tmp_path / "out"), **cfg)
+    assert main(["coverage-study", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    warns = summary["tail_bound"] > summary["median_half_width"]
+    assert warns == (case == "gauss-2d-default-epsilon")
+    assert ("cannot cover the truncation bias" in capsys.readouterr().err) == warns
+
+
 def test_quadrature_norms_above_2d_exit_4_and_name_mc(tmp_path, capsys):
     problem = {**GAUSS_2D, "bounds": [[0, 1]] * 3}
     path = _write_config(tmp_path, problem=problem, grid=3, out_dir=str(tmp_path / "out"))

@@ -281,7 +281,7 @@ def test_rank_one_sups_equal_the_grid_maximum_bitwise(G):
         cov = CovarianceModel(t_grid=np.linspace(0, 1, G)[:, None], Z_hat=np.outer(f, f),
                               sigma_plus_sq=float(np.max(f * f)))
         band, sims = fm.simulate_sup_quantile(cov, 0.1, n_sim, seed, return_sims=True)
-        F, _ = _eigen_factor(cov.Z_hat, float(np.trace(cov.Z_hat)))
+        F, _ = _eigen_factor(cov.Z_hat)
         z = np.concatenate([substream(seed, TAG_GAUSS_SIM, b).standard_normal(
             (min(SIM_BATCH, n_sim - b * SIM_BATCH), 1)) for b in range(3)])
         assert band.q == F.shape[1] == 1
@@ -317,12 +317,80 @@ def gauss_cov(gauss_spec, gauss_pnt):
 
 def test_gauss_conv_covariance_factor(gauss_cov):
     trace = float(np.trace(gauss_cov.Z_hat))
-    F, dropped = _eigen_factor(gauss_cov.Z_hat, trace)
+    F, dropped = _eigen_factor(gauss_cov.S, gauss_cov.A)
     assert F.shape[0] == 101 and 1 <= F.shape[1] <= 8
     assert 0.0 <= dropped <= 2e-12  # cut tail <= 1e-12, plus clipped rounding-level negatives
     assert np.linalg.norm(F @ F.T - gauss_cov.Z_hat, 2) <= 1e-12 * trace
     band = fm.simulate_sup_quantile(gauss_cov, 0.05, 10_000, seed=1)
     assert (band.q, band.dropped_trace) == (F.shape[1], dropped)
+
+
+def _factored_cov(problem, ts_spec, ts_pnt, gauss_spec, gauss_pnt):
+    """A factored plug-in covariance: t*s (r = 1) and 1-D gauss-conv
+    (r = 20) on 101 points, 2-D gauss-conv on 21^2 (r = 136); the 2-D case
+    borrows the t*s power norms, which only set the term counts."""
+    if problem == "ts":
+        spec, pnt, grid, n = ts_spec, ts_pnt, np.linspace(0, 1, 101), 20_000
+    elif problem == "gauss-1d":
+        spec, pnt, grid, n = gauss_spec, gauss_pnt, np.linspace(0, 1, 101), 20_000
+    else:
+        spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 0.5, "grid": 21,
+                                               "bounds": [[0, 1], [0, 1]]})
+        pnt, grid, n = ts_pnt, spec.domain.grid(), 6_000
+    alloc = fm.optimal_allocation(pnt, 4, n)
+    est = fm.solve_fredholm_mc(spec, fm.TruncationPlan(0.05, 4, 0.0, "fit-based"), alloc, grid,
+                               seed=0, collect_covariance=True)
+    return fm.estimate_covariance(spec, alloc, grid, est.moments)
+
+
+@pytest.mark.parametrize("problem", ["ts", "gauss-1d", "gauss-2d"])
+def test_dense_and_factored_models_give_one_eigen_factor(problem, ts_spec, ts_pnt, gauss_spec,
+                                                         gauss_pnt):
+    cov = _factored_cov(problem, ts_spec, ts_pnt, gauss_spec, gauss_pnt)
+    dense = CovarianceModel(t_grid=cov.t_grid, Z_hat=cov.Z_hat, sigma_plus_sq=cov.sigma_plus_sq)
+    assert cov.A is not None and dense.A is None
+    (F, dropped), (F_dense, dropped_dense) = _eigen_factor(cov.S, cov.A), _eigen_factor(dense.S)
+    assert F.shape == F_dense.shape
+    assert 0.0 <= dropped <= 2e-12 and 0.0 <= dropped_dense <= 2e-12
+    # a backward-stable eigensolver fixes column i of F only to about
+    # eps * trace * sqrt(w_i) / gap_i (first-order eigenvector perturbation),
+    # more than 1e-12 * trace for the pairs next to the trace cut; with the
+    # signs fixed, the two routes differ by no more than that
+    trace = float(np.trace(cov.Z_hat))
+    w = np.sum(F * F, axis=0)
+    lam = np.linalg.eigvalsh(cov.Z_hat)
+    gap = np.array([np.min(np.abs(np.delete(lam, np.argmin(np.abs(lam - wi))) - wi)) for wi in w])
+    diff = np.max(np.abs(F - F_dense), axis=0)
+    assert np.all(diff <= 1e-12 * trace + np.finfo(float).eps * trace * np.sqrt(w) / gap)
+    if problem == "ts":  # rank one: no eigenvector is ill-determined
+        assert np.all(diff <= 1e-12 * trace)
+    # the same normals drive both: each path moves by at most z_max * sum_i diff_i,
+    # and so does the quantile of the path sups
+    n_sim, seed = 20_000, 3
+    z_max = max(np.max(np.abs(substream(seed, TAG_GAUSS_SIM, b).standard_normal(
+        (min(SIM_BATCH, n_sim - b * SIM_BATCH), F.shape[1])))) for b in range(-(-n_sim // SIM_BATCH)))
+    u, u_dense = (fm.simulate_sup_quantile(c, 0.05, n_sim, seed).u_delta for c in (cov, dense))
+    assert abs(u - u_dense) <= z_max * diff.sum() + 1e-12 * u
+
+
+def test_factored_gauss_sim_band_allocates_no_grid_by_grid_array(gauss_spec, gauss_pnt):
+    # 1-D gauss-conv (r = 20) on G = 2001 points: term moments, covariance
+    # and eigen-factor stay G x r and r x r, and 200 paths are 200 x G, so
+    # the traced peak stays far below one G x G array (32 MB)
+    G = 2001
+    grid = np.linspace(0.0, 1.0, G)
+    alloc = fm.optimal_allocation(gauss_pnt, 4, 20_000)
+    tracemalloc.start()
+    try:
+        est = fm.solve_fredholm_mc(gauss_spec, fm.TruncationPlan(0.05, 4, 0.0, "fit-based"), alloc,
+                                   grid, seed=0, collect_covariance=True)
+        cov = fm.estimate_covariance(gauss_spec, alloc, grid, est.moments)
+        band = fm.simulate_sup_quantile(cov, 0.1, 200, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.factor_rank == 20 and band.q > 1
+    assert peak < G * G * 8 / 4
 
 
 def _cov_with_least_eigenvalue(rel):

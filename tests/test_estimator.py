@@ -281,6 +281,25 @@ def test_factored_first_factor_matches_general_runner(problem, ts_spec, ts_pnt):
             cov_close(tm_a.m2_full, tm_b.m2_full)
 
 
+@pytest.mark.parametrize("problem", ["ts", "const-1d", "gauss-1d", "gauss-2d"])
+def test_factored_covariance_forms_z_hat_on_read(problem, ts_spec, ts_pnt):
+    spec, pnt, grid, n = _factored_case(problem, ts_spec, ts_pnt)
+    alloc = fm.optimal_allocation(pnt, 4, n)
+    for run in _factored_runs(spec, pnt, grid, n):
+        est = run(spec)
+        if est.moments is None:  # the geometric engine keeps no covariance
+            continue
+        cov = fm.estimate_covariance(spec, alloc, grid, est.moments)
+        r = est.factor_rank
+        assert cov.A.shape == (len(grid), r) and cov.S.shape == (r, r)
+        dense = sum(tm.m2_full / ((tm.count - 1) * tm.theta) for tm in est.moments)
+        Z = cov.Z_hat
+        assert np.max(np.abs(Z - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(Z, Z.T)
+        assert np.all(np.diag(Z) >= 0.0)
+        assert cov.sigma_plus_sq == pytest.approx(np.max(np.diag(Z)), rel=1e-12, abs=0.0)
+
+
 def test_factored_first_factor_rejects_nonfinite_a(ts_spec, ts_pnt):
     class NaNAboveHalf:
         def __call__(self, t, s):
