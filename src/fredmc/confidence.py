@@ -37,6 +37,8 @@ from .rng import TAG_GAUSS_SIM, substream
 
 C0_BAR = 1.77638        # normalizing constant of the CLT moment profile
 SIM_BATCH = 4096
+SIM_TILE = 24           # path rows of a gemm tile come in multiples of this
+_ONE_THREAD_GEMM = 2 ** 18  # OpenBLAS runs a gemm with m * n * k up to this on one thread
 _NEG_EIG_TOL = 1e-6     # covariance eigenvalues below -tol * trace raise NotPSD
 _TRACE_CUT = 1e-12      # trace share of the smallest eigenpairs left out of the simulation
 _W_CONVEXITY_TOL = -1e-9
@@ -255,6 +257,23 @@ def _eigen_factor(Z: np.ndarray, A: Optional[np.ndarray] = None) -> tuple[np.nda
     return F, (clipped + float(w[:cut].sum())) / trace
 
 
+def empirical_quantile(x, p):
+    """``np.quantile(x, p)`` (method "linear") bit for bit for x without NaN,
+    p a float or an array: one ``np.partition`` of a copy at numpy's own
+    points and numpy's ``_lerp`` rounding.  np.quantile picks those points
+    with np.unique, whose first call imports numpy.ma (11-17 ms)."""
+    x = np.asarray(x, dtype=float).ravel()
+    v = (x.shape[0] - 1) * np.asarray(p, dtype=float)
+    top = v >= x.shape[0] - 1   # numpy takes the maximum for both neighbours
+    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    ranked = np.partition(x, sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}))
+    a, b, t = ranked[lo], ranked[hi], v - lo
+    d = b - a
+    out = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    return float(out) if out.ndim == 0 else out
+
+
 def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: int,
                           n: Optional[int] = None,
                           return_sims: bool = False):
@@ -265,7 +284,15 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
     fixed-size batches, per-batch substreams, deterministic merge.
     With q = 1 a path is z F(t), so its sup is |z| max|F|: one product per
     path, and the same bits as the max over the grid, because rounding a
-    product is monotone and symmetric in sign."""
+    product is monotone and symmetric in sign.
+
+    Otherwise z F^T is formed in tiles of path rows, sups taken per tile, so
+    no batch x G array is held.  A tile has the most multiples of SIM_TILE
+    rows under OpenBLAS's one-thread cutoff (8 when none fit): on 2 vCPUs a
+    threaded product of that size ran up to 20x slower.  On one thread such
+    tiles keep each element's bits (OpenBLAS 0.3.31, AVX-512; 1 or 3 rows do
+    not).  ``empirical_quantile`` of a copy leaves sims in path order and
+    numpy.ma unimported."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_sim < 1:
@@ -274,22 +301,20 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
         raise ValueError("need n_sim >= 1e4 for delta <= 0.05")
     F, dropped = _eigen_factor(cov.S, cov.A)
     q = F.shape[1]
-    if q == 0:
-        sups = np.zeros(n_sim)
-    else:
-        f_max = np.max(np.abs(F[:, 0])) if q == 1 else None
-        chunks = []
-        for b in range(0, n_sim, SIM_BATCH):
-            rng = substream(seed, TAG_GAUSS_SIM, b // SIM_BATCH)
-            z = rng.standard_normal((min(SIM_BATCH, n_sim - b), q))
-            if f_max is None:
-                x = z @ F.T
-                chunks.append(np.max(np.abs(x, out=x), axis=1))
-                del x  # else this batch of paths lives on while the next is formed
-            else:
-                chunks.append(np.abs(z[:, 0]) * f_max)
-        sups = np.concatenate(chunks)
-    u = float(np.quantile(sups, 1.0 - delta))
+    sups = np.zeros(n_sim)
+    if q > 1:
+        rows = SIM_TILE * (_ONE_THREAD_GEMM // (SIM_TILE * F.size) or 8)
+        tile = np.empty((min(rows, SIM_BATCH, n_sim), F.shape[0]))
+    for b in range(0, n_sim, SIM_BATCH) if q > 0 else ():
+        rng = substream(seed, TAG_GAUSS_SIM, b // SIM_BATCH)
+        z = rng.standard_normal((min(SIM_BATCH, n_sim - b), q))
+        if q == 1:
+            np.multiply(np.abs(z[:, 0]), np.max(np.abs(F[:, 0])), out=sups[b:b + len(z)])
+            continue
+        for i in range(0, len(z), len(tile)):
+            x = np.matmul(z[i:i + len(tile)], F.T, out=tile[:len(z) - i])
+            np.max(np.abs(x, out=x), axis=1, out=sups[b + i:b + i + len(x)])
+    u = empirical_quantile(sups, 1.0 - delta)
     band = ConfidenceBand(delta=delta, u_delta=u,
                           half_width=u / math.sqrt(n) if n else None,
                           method="gauss-sim", n_sim=n_sim, covariance=cov,
@@ -302,7 +327,7 @@ def tail_shape_report(cov: CovarianceModel, u_grid: Sequence[float], sims: np.nd
     by regressing log P(u) + u^2/(2 sigma+^2) on log u over the upper
     decile of the simulated suprema.  Never used for calibration."""
     sims = np.asarray(sims, dtype=float)
-    lo = float(np.quantile(sims, 0.9))
+    lo = empirical_quantile(sims, 0.9)
     us = np.array([u for u in np.asarray(u_grid, dtype=float) if u >= lo])
     counts = np.array([(sims > u).sum() for u in us])
     keep = counts >= 50
@@ -354,7 +379,8 @@ def _chaining_majorant(psib: PsiFunction, domain: DomainSpec, metric: Metric,
     x_c = min(max(_metric_at_radius(metric, r_c), x_min), sigma_psi)
     cuts = np.array([_metric_at_radius(metric, length / (2.0 * k))
                      for length in domain.lengths for k in range(1, _COARSE_COUNT + 1)])
-    coarse = np.unique(np.concatenate([[x_c, sigma_psi], cuts[(cuts > x_c) & (cuts < sigma_psi)]]))
+    coarse = np.sort(np.concatenate([[x_c, sigma_psi], cuts[(cuts > x_c) & (cuts < sigma_psi)]]))
+    coarse = coarse[np.append(True, coarse[1:] != coarse[:-1])]  # np.unique imports numpy.ma
     fine = np.geomspace(x_min, x_c, nodes + 1)[:-1] if x_c > x_min else np.empty(0)
     edges = np.concatenate([fine, coarse])
     h = entropy_H(domain, metric, np.sqrt(edges[:-1] * edges[1:]))

@@ -76,14 +76,15 @@ class TermMoments:
             return self.m2
         return (self.a @ self.m2) @ self.a.T
 
-    def merge_block(self, vals: np.ndarray, full: bool) -> None:
-        """Fold one (rows, block) slab of per-tuple values into the running
-        moments; merge order is the caller's block order."""
+    def merge_block(self, vals: np.ndarray, full: bool, mean_b=None) -> None:
+        """Fold one (rows, block) slab of per-tuple values with row means
+        ``mean_b`` (computed if None), centering it in place, into the running
+        moments by the pairwise update of Chan, Golub and LeVeque."""
         nb = vals.shape[1]
-        mean_b = vals.mean(axis=1)
-        centered = vals - mean_b[:, None]
-        diag_b = np.einsum("gi,gi->g", centered, centered)
-        full_b = centered @ centered.T if full else None
+        mean_b = vals.mean(axis=1) if mean_b is None else mean_b
+        vals -= mean_b[:, None]
+        diag_b = np.einsum("gi,gi->g", vals, vals)
+        full_b = vals @ vals.T if full else None
         if self.count == 0:
             self.count, self.mean, self.m2_diag, self.m2 = nb, mean_b, diag_b, full_b
             return
@@ -174,28 +175,27 @@ def _chain_tail(spec: ProblemSpec, xs: np.ndarray) -> np.ndarray:
     return c * np.asarray(spec.forcing(xs[:, -1, :]), dtype=float)
 
 
-def _term_field(first: Callable, tail: Optional[Callable], grid: np.ndarray,
-                xs: np.ndarray) -> np.ndarray:
-    """``first(t, x1) * tail(xs)`` on the grid, shape (G, nb).  Kept out of
-    the runner's loop so that the first-factor array is freed before the
-    previous block: built inline, the product made 1.8x the page faults and
-    ran 20-25 % slower (G = 101, glibc malloc, 2-core x86)."""
-    vals = np.asarray(first(grid[:, None, :], xs[None, :, 0, :]), dtype=float)
-    vals = vals if tail is None else vals * tail(xs)[None, :]
-    if not np.all(np.isfinite(vals)):
-        g_idx, r_idx = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(f"non-finite integrand at t={grid[g_idx]}, x={xs[r_idx]}")
-    return vals
+def _term_field(vals, tail: Optional[Callable], xs: np.ndarray, out: np.ndarray) -> None:
+    """Write ``vals * tail(xs)`` (``vals`` if tail is None) into the runner's
+    (rows, nb) slab ``out``; ``vals`` is the first factor over the grid or
+    B(x1).  The slab is reused and centered in place, so the loop makes no
+    rows x block array of its own per block; ``vals``, which the kernel
+    returned, is only read (it may be cached) and dies with this call."""
+    vals = np.asarray(vals, dtype=float)
+    if tail is None:
+        out[...] = vals
+    else:
+        np.multiply(vals, tail(xs), out=out)
 
 
-def _factor_field(b: Callable, tail: Optional[Callable], xs: np.ndarray) -> np.ndarray:
-    """The t-free factor ``B(x1) * tail(xs)``, shape (r, nb)."""
-    vals = np.asarray(b(xs[:, 0, :]), dtype=float).reshape(-1, xs.shape[0])
-    vals = vals if tail is None else vals * tail(xs)[None, :]
-    if not np.all(np.isfinite(vals)):
-        r_idx = np.argwhere(~np.isfinite(vals))[0, 1]
-        raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[r_idx]}")
-    return vals
+def _name_nonfinite(vals: np.ndarray, xs: np.ndarray, grid: Optional[np.ndarray]) -> None:
+    """Name the first non-finite entry of a block in row-major order: t and
+    x, or x alone on the factored path (grid None); finite values pass."""
+    bad = np.argwhere(~np.isfinite(vals))
+    if len(bad) and grid is None:
+        raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[bad[0, 1]]}")
+    if len(bad):
+        raise ValueError(f"non-finite integrand at t={grid[bad[0, 0]]}, x={xs[bad[0, 1]]}")
 
 
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
@@ -238,20 +238,27 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     so r = 1 gives a * mu_w and a^2 * M2_w exactly.
     """
     if fac is None:
-        values_of = functools.partial(_term_field, first, tail, grid)
-        full = collect_cov
+        rows, full = grid.shape[0], collect_cov
     else:
         a_t, b, eps = fac
-        values_of = functools.partial(_factor_field, b, tail)
         # a 1 x 1 co-moment is its diagonal; forming it per block costs a BLAS dot
-        full = a_t.shape[1] > 1
+        rows, full = a_t.shape[1], a_t.shape[1] > 1
     tm = TermMoments(m=m, theta=theta)
+    slab = np.empty(rows * min(count, BLOCK_REPLICATES))  # each block's values, centered in place
     done = 0
     while done < count:
         nb = min(BLOCK_REPLICATES, count - done)
         xs = mu.sample(domain, nb * m, rng).reshape(nb, m, domain.dim)
-        vals = values_of(xs)
-        tm.merge_block(vals, full=full)
+        vals = slab[:rows * nb].reshape(rows, nb)
+        if fac is None:
+            _term_field(first(grid[:, None, :], xs[None, :, 0, :]), tail, xs, vals)
+        else:
+            _term_field(np.reshape(b(xs[:, 0, :]), vals.shape), tail, xs, vals)
+        with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
+            mean_b = vals.mean(axis=1)
+        if not np.all(np.isfinite(mean_b)):
+            _name_nonfinite(vals, xs, grid if fac is None else None)
+        tm.merge_block(vals, full, mean_b)
         done += nb
     if fac is None:
         return tm

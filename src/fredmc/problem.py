@@ -39,6 +39,11 @@ _NYSTROM_NODES = 48 ** 2      # Gauss-Legendre nodes per solve: a node matrix of
 _NORM_GRID = {1: 1025, 2: 65}  # points per axis of the fixed grid the power norms' sup_t covers
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Axis-aligned box domain with a normalized measure.
@@ -60,17 +65,17 @@ class DomainSpec:
         if self.grid_points_per_dim < 1 or self.grid_points_per_dim ** self.dim < 2:
             raise ValueError("total grid size must be at least 2")
 
-    @property
+    @functools.cached_property  # kept, read-only: the sampler maps every block with them
     def lows(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds])
+        return _read_only(np.array([b[0] for b in self.bounds]))
 
-    @property
+    @functools.cached_property
     def highs(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds])
+        return _read_only(np.array([b[1] for b in self.bounds]))
 
-    @property
+    @functools.cached_property
     def lengths(self) -> np.ndarray:
-        return self.highs - self.lows
+        return _read_only(self.highs - self.lows)
 
     @property
     def diameter(self) -> float:
@@ -106,8 +111,9 @@ class MeasureSampler:
             raise ValueError("product-inverse-cdf requires inverse_cdfs")
 
     def _map(self, u: np.ndarray, domain: DomainSpec) -> np.ndarray:
+        """Points of mu from fresh uniforms u, which the box measure maps in place."""
         if self.kind == "uniform-on-box":
-            return domain.lows + u * domain.lengths
+            return np.add(np.multiply(u, domain.lengths, out=u), domain.lows, out=u)
         cols = [np.asarray(self.inverse_cdfs[i](u[..., i])) for i in range(domain.dim)]
         return np.stack(cols, axis=-1)
 

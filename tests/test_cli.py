@@ -90,6 +90,23 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: fredmc") and "coverage-study" in done.stdout
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"band_method": "both", "tail_report": True, "n_sim": 100_000}),
+    ("coverage-study", {"mode": "coverage-study", "replications": 3, "budget": 20_000})])
+def test_cli_runs_without_importing_numpy_ma(tmp_path, command, overrides):
+    # numpy.ma costs 11-17 ms of import a process; np.quantile, np.unique
+    # and np.median each import it on first call
+    path = _write_config(tmp_path, out_dir=str(tmp_path / "out"), **overrides)
+    env = dict(os.environ, PYTHONPATH=str(Path(fredmc.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "fredmc", command,
+                           "--config", str(path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "numpy" in imported and "numpy.ma" not in imported
+
+
 def test_solve_constant_fixture_exact_csv(tmp_path):
     path = _write_config(tmp_path, problem=CONST_PROBLEM, out_dir=str(tmp_path / "out"))
     assert main(["solve", "--config", str(path)]) == 0

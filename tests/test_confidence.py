@@ -6,10 +6,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredmc as fm
-from fredmc.confidence import (C0_BAR, SIM_BATCH, PsiFunction, _eigen_factor, integral_psi,
-                               psi_bar, solution_psi)
+import fredmc.confidence as confidence
+from fredmc.confidence import (C0_BAR, SIM_BATCH, SIM_TILE, PsiFunction, _eigen_factor,
+                               empirical_quantile, integral_psi, psi_bar, solution_psi)
 from fredmc.estimator import CovarianceModel
 from fredmc.problem import DomainSpec, Metric
 from fredmc.rng import TAG_GAUSS_SIM, substream
@@ -427,6 +430,70 @@ def test_sup_quantile_threads_match_serial(gauss_cov):
     for band, s in results:
         assert band.u_delta == serial.u_delta
         assert np.array_equal(s, sims)
+
+
+def _rank_q_cov(G, q, seed=0):
+    """A factored model of rank q on G points: A (G x q) and S = I."""
+    grid = np.linspace(0.0, 1.0, G)[:, None]
+    A = np.random.default_rng(seed).standard_normal((G, q)) / math.sqrt(q)
+    return CovarianceModel(t_grid=grid, sigma_plus_sq=float(np.max(np.sum(A * A, axis=1))),
+                           A=A, S=np.eye(q))
+
+
+@pytest.mark.parametrize("q", [2, 7, 31])
+def test_tile_height_keeps_sups_and_u_delta_bitwise(q, monkeypatch):
+    # tiles of 24, 48 and 96 path rows, the default rule and one tile per
+    # batch (the untiled product) give the same sups and u_delta bit for bit
+    cov = _rank_q_cov(101, q)
+    n_sim = 3 * SIM_BATCH + 1000
+    default, sims = fm.simulate_sup_quantile(cov, 0.05, n_sim, seed=5, return_sims=True)
+    assert default.q == q
+    for rows in (SIM_TILE, 2 * SIM_TILE, 4 * SIM_TILE, SIM_BATCH):
+        # one unit of `rows` rows fits the one-thread budget: the tile is `rows` high
+        monkeypatch.setattr(confidence, "SIM_TILE", rows)
+        monkeypatch.setattr(confidence, "_ONE_THREAD_GEMM", rows * 101 * q)
+        band, s = fm.simulate_sup_quantile(cov, 0.05, n_sim, seed=5, return_sims=True)
+        assert np.array_equal(s, sims), rows
+        assert band.u_delta == default.u_delta
+
+
+def test_gauss_sim_holds_no_batch_of_paths():
+    # q = 7 on G = 2001 points: one 4096 x G batch of paths is 66 MB; the
+    # tiles keep the traced peak below a quarter of it
+    G = 2001
+    cov = _rank_q_cov(G, 7)
+    tracemalloc.start()
+    try:
+        band = fm.simulate_sup_quantile(cov, 0.05, 10_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.q == 7
+    assert peak < SIM_BATCH * G * 8 / 4
+
+
+def test_sims_come_back_in_path_order():
+    # the quantile partitions a copy: the returned sups are each path's own
+    cov = _rank_q_cov(11, 2)
+    band, sims = fm.simulate_sup_quantile(cov, 0.1, 300, seed=4, return_sims=True)
+    F, _ = _eigen_factor(cov.S, cov.A)
+    z = substream(4, TAG_GAUSS_SIM, 0).standard_normal((300, 2))
+    assert np.array_equal(sims, np.max(np.abs(z @ F.T), axis=1))
+    assert band.u_delta == np.quantile(sims, 0.9)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(x=st.lists(st.one_of(_TIES, st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+       p=st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.9, 0.95]), st.floats(0.0, 1.0)))
+def test_empirical_quantile_is_np_quantile_bitwise(x, p):
+    # ties, +-0 and n = 1 included: the bits, sign of zero too, are numpy's
+    x = np.array(x)
+    assert np.float64(empirical_quantile(x, p)).tobytes() == np.quantile(x, p).tobytes()
+    ps = [p, 1.0 - p]
+    assert empirical_quantile(x, ps).tobytes() == np.quantile(x, ps).tobytes()
 
 
 # ---------------------------------------------------------------------------

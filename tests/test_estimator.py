@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,94 @@ def test_factored_path_names_x_for_a_nonfinite_t_free_factor(ts_spec, ts_pnt):
     with pytest.raises(ValueError, match=r"t-free factor .* at x=\[\[0\.9") as info:
         fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0.2, 1, 5), seed=0)
     assert "t=" not in str(info.value)
+
+
+def test_general_path_names_t_and_x_of_a_nonfinite_value(ts_spec, ts_pnt):
+    # one NaN at t = 0.75 for x1 within 1e-4 of 0.6, somewhere inside a
+    # block: the message names that t and such an x, and nothing warns
+    k = ts_spec.kernel
+
+    def kernel(t, s):
+        hit = (np.asarray(t)[..., 0] == 0.75) & (np.abs(np.asarray(s)[..., 0] - 0.6) < 1e-4)
+        return np.where(hit, np.nan, k(t, s))
+
+    spec = dataclasses.replace(ts_spec, kernel=kernel)
+    alloc = fm.optimal_allocation(ts_pnt, 2, 60_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite integrand at t=\[0\.75\], x=\[\[0\.(5999|6000)"):
+            fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0, 1, 5), seed=0)
+
+
+def test_factored_path_names_x_when_infinities_cancel(ts_spec, ts_pnt):
+    # +inf and -inf in one row make its mean NaN: still named, with no
+    # RuntimeWarning from the mean
+    class SignedInfinities:
+        def __call__(self, t, s):
+            return ts_spec.kernel(t, s)
+
+        def factors(self):
+            a, b = ts_spec.kernel.factors()
+            return a, (lambda s: np.where(np.asarray(s)[..., 0] > 0.95, np.inf,
+                                          np.where(np.asarray(s)[..., 0] < 0.05, -np.inf, b(s))))
+
+    spec = dataclasses.replace(ts_spec, kernel=SignedInfinities())
+    alloc = fm.optimal_allocation(ts_pnt, 2, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"t-free factor .* at x=\[\[0\.(9[5-9]|0[0-4])"):
+            fm.solve_fredholm_mc(spec, _plan(2), alloc, np.linspace(0.2, 1, 5), seed=0)
+
+
+def test_finite_block_whose_mean_overflows_is_not_refused():
+    # every value is finite, the block sum is not: nothing is named, as
+    # before the check read the block mean
+    class Huge:
+        def __call__(self, t, x):
+            return np.full(np.broadcast_shapes(np.asarray(t).shape[:-1],
+                                               np.asarray(x).shape[:-1]), 1e308)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = fm.estimate_parametric_integral(Huge(), MeasureSampler(), DomainSpec(1, ((0.0, 1.0),)),
+                                              np.array([0.5, 1.0]), 20_000, seed=0)
+    assert not np.any(np.isfinite(est.values))
+
+
+class _ReadOnly:
+    """``fn`` with read-only results, as a kernel's cached arrays may be."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        out = np.array(self.fn(*args), dtype=float)
+        out.flags.writeable = False
+        return out
+
+
+class _ReadOnlyB(_ReadOnly):
+    def factors(self):
+        a, b = self.fn.factors()
+        return a, _ReadOnly(b)
+
+
+def test_runner_only_reads_the_kernel_arrays(ts_spec, ts_pnt):
+    # the first factor without a tail (integral), with one (general solve)
+    # and the t-free factor b (factored solve) hand over read-only arrays:
+    # the runner writes into its own slab only, and the bits are unchanged
+    grid = np.linspace(0, 1, 11)
+    dom = DomainSpec(1, ((0.0, 1.0),))
+    a, b = (fm.estimate_parametric_integral(g, MeasureSampler(), dom, grid, 40_000, seed=3,
+                                            collect_covariance=True)
+            for g in (_ReadOnly(_TXProduct()), _TXProduct()))
+    pairs = [(a, b)]
+    for kernel, ref in ((_ReadOnly(ts_spec.kernel), _unfactored(ts_spec)),
+                        (_ReadOnlyB(ts_spec.kernel), ts_spec)):
+        spec = dataclasses.replace(ts_spec, kernel=kernel)
+        pairs.append(tuple(_engine_on("solve", sp, ts_pnt, grid, seed=3) for sp in (spec, ref)))
+    for a, b in pairs:
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.pointwise_var, b.pointwise_var)
 
 
 @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
