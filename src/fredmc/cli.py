@@ -319,6 +319,9 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
         est = solver(spec, plan, alloc, grid, cfg.seed, collect_covariance=collect)
         bands, cov = _bands_for(cfg, spec, alloc, est, cfg.budget)
+        for band, _ in bands if cfg.mode == "solve" else ():
+            _warn_if_tail_exceeds(plan.tail_bound, band.half_width, band.method,
+                                  "its target is the truncated solution y^(N)")
         summary.update(N=plan.N, tail_bound=plan.tail_bound, tail_basis=plan.basis,
                        norms_accuracy=pnt.accuracy)
     if est.mode != "geometric":
@@ -353,6 +356,14 @@ def _first_factor_summary(spec: ProblemSpec, est: EstimateTable) -> Optional[dic
     tails = sum(k_sup ** (m - 1) for m in range(1, n_terms + 1)) * spec.f_norm
     return {"rank": est.factor_rank, "eps_K": est.factor_eps,
             "bias_bound": est.factor_eps * tails}
+
+
+def _warn_if_tail_exceeds(tail_bound: float, half_width: float, band: str, why: str) -> None:
+    """Warn on stderr when the truncation tail bound exceeds a band's half-width."""
+    if tail_bound > half_width:
+        print(f"warning: tail_bound {tail_bound:.3g} exceeds the {band} half-width "
+              f"{half_width:.3g}; {why}, so the band cannot cover the truncation bias; "
+              "lower epsilon", file=sys.stderr)
 
 
 def _solve_sup_error(cfg, spec, pnt, plan, n, rep, ref) -> float:
@@ -444,10 +455,8 @@ def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
                                                  "median_half_width": median_width,
                                                  "reference_accuracy": accuracy,
                                                  "norms_accuracy": pnt.accuracy}, t0)
-    if plan.tail_bound > median_width:
-        print(f"warning: tail_bound {plan.tail_bound:.3g} exceeds the median gauss-sim half-width "
-              f"{median_width:.3g}; coverage is measured against the full solution, so the band "
-              "cannot cover the truncation bias; lower epsilon", file=sys.stderr)
+    _warn_if_tail_exceeds(plan.tail_bound, median_width, "median gauss-sim",
+                          "coverage is measured against the full solution")
     print(f"coverage-study: {rate:.3f} over {cfg.replications} replications (target {1 - cfg.delta})")
     return 0
 

@@ -127,9 +127,10 @@ def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
                        envelope: str = "R") -> PsiFunction:
     """Moment profile of the envelope: psi(p) = (int R(x)^p mu(dx))^(1/p).
 
-    Evaluated by 2048-node quadrature with max-rescaling so large p never
-    overflows; p values whose moment integral is not finite are dropped
-    (support truncates at the last finite p).
+    Evaluated by midpoint quadrature, 2048 nodes in 1-D and 64 per axis
+    above, with max-rescaling so large p never overflows; p values whose
+    moment integral is not finite are dropped (support truncates at the
+    last finite p).
     """
     p_grid = default_p_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
     env = spec.envelope_R if envelope == "R" else spec.envelope_Q
@@ -288,11 +289,11 @@ def simulate_sup_quantile(cov: CovarianceModel, delta: float, n_sim: int, seed: 
 
     Otherwise z F^T is formed in tiles of path rows, sups taken per tile, so
     no batch x G array is held.  A tile has the most multiples of SIM_TILE
-    rows under OpenBLAS's one-thread cutoff (8 when none fit): on 2 vCPUs a
-    threaded product of that size ran up to 20x slower.  On one thread such
-    tiles keep each element's bits (OpenBLAS 0.3.31, AVX-512; 1 or 3 rows do
-    not).  ``empirical_quantile`` of a copy leaves sims in path order and
-    numpy.ma unimported."""
+    rows under OpenBLAS's one-thread cutoff (8 SIM_TILE = 192 rows when none
+    fit): on 2 vCPUs a threaded product of that size ran up to 20x slower.
+    On one thread such tiles keep each element's bits (OpenBLAS 0.3.31,
+    AVX-512; 1 or 3 rows do not).  ``empirical_quantile`` of a copy leaves
+    sims in path order and numpy.ma unimported."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if n_sim < 1:

@@ -10,9 +10,9 @@ evaluation grid.
 Every term's per-tuple field is ``first(t, x1) * tail(x1..xm)``: a first
 factor over the grid (K; dK/dt for the derivative; g for a parametric
 integral, which has no tail) times the t-free chain K(x1,x2)...f(x_m).
-One runner, ``_run_term``, draws the tuples, evaluates that product and
-folds the block moments; the engines pick the factor, substreams, counts,
-and evaluate the factored first factor over the grid once per call.
+One runner, ``_run_term``, draws the tuples, evaluates that product in
+grid row tiles and folds the block moments; its callers (the engines and
+the MC power norms) pick the factor, substreams and counts.
 A first factor with ``factors()``, meaning K(t, s) = sum_k A_k(t) B_k(s)
 (exact for constant and separable-poly kernels, a Taylor expansion with a
 closed-form remainder bound for gauss-conv), makes the field A(t) w with
@@ -37,8 +37,8 @@ import numpy as np
 from .allocation import BudgetAllocation, counts_from_weights
 from .errors import BudgetError, ContractivityError, UnsupportedDerivative
 from .neumann import TruncationPlan, _as_points
-from .problem import (DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec, operator_norm,
-                      radius_bound)
+from .problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec,
+                      operator_norm, radius_bound)
 from .rng import TAG_DERIVATIVE, TAG_GEOMETRIC, TAG_INTEGRAL, TAG_SOLVE, substream
 
 BLOCK_REPLICATES = 16384
@@ -167,35 +167,26 @@ def tensor_integrand(spec: ProblemSpec, t, xs) -> float:
     return out * float(spec.forcing(xs[-1]))
 
 
-def _chain_tail(spec: ProblemSpec, xs: np.ndarray) -> np.ndarray:
-    """K(x1,x2)...K(x_{m-1},x_m) f(x_m) for a batch xs of shape (n, m, dim)."""
+def _chain_tail(kernel: Callable, forcing: Optional[Callable], xs: np.ndarray) -> np.ndarray:
+    """K(x1,x2)...K(x_{m-1},x_m) f(x_m) for xs of shape (n, m, dim); no f if forcing is None."""
     c = np.ones(xs.shape[0])
     for i in range(xs.shape[1] - 1):
-        c = c * np.asarray(spec.kernel(xs[:, i, :], xs[:, i + 1, :]), dtype=float)
-    return c * np.asarray(spec.forcing(xs[:, -1, :]), dtype=float)
+        c = c * np.asarray(kernel(xs[:, i, :], xs[:, i + 1, :]), dtype=float)
+    return c if forcing is None else c * np.asarray(forcing(xs[:, -1, :]), dtype=float)
 
 
-def _term_field(vals, tail: Optional[Callable], xs: np.ndarray, out: np.ndarray) -> None:
-    """Write ``vals * tail(xs)`` (``vals`` if tail is None) into the runner's
-    (rows, nb) slab ``out``; ``vals`` is the first factor over the grid or
-    B(x1).  The slab is reused and centered in place, so the loop makes no
-    rows x block array of its own per block; ``vals``, which the kernel
-    returned, is only read (it may be cached) and dies with this call."""
-    vals = np.asarray(vals, dtype=float)
-    if tail is None:
-        out[...] = vals
-    else:
-        np.multiply(vals, tail(xs), out=out)
-
-
-def _name_nonfinite(vals: np.ndarray, xs: np.ndarray, grid: Optional[np.ndarray]) -> None:
-    """Name the first non-finite entry of a block in row-major order: t and
-    x, or x alone on the factored path (grid None); finite values pass."""
-    bad = np.argwhere(~np.isfinite(vals))
-    if len(bad) and grid is None:
+def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
+               pts: Optional[np.ndarray]) -> None:
+    """Fold one tile's block into ``tm``, naming the first non-finite value
+    (row-major; t and x, or x alone if pts is None) when a row mean is not."""
+    with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
+        mean_b = vals.mean(axis=1)
+    bad = () if np.all(np.isfinite(mean_b)) else np.argwhere(~np.isfinite(vals))
+    if len(bad) and pts is None:
         raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[bad[0, 1]]}")
     if len(bad):
-        raise ValueError(f"non-finite integrand at t={grid[bad[0, 0]]}, x={xs[bad[0, 1]]}")
+        raise ValueError(f"non-finite integrand at t={pts[bad[0, 0]]}, x={xs[bad[0, 1]]}")
+    tm.merge_block(vals, full, mean_b)
 
 
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
@@ -229,13 +220,21 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     m-tuples, the same tuples reused for every grid point; the field per
     tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None.
 
+    Per block the tail is evaluated once (1.0 if None) and each grid row
+    tile is one ``np.multiply`` of its first factor by the tail, which only
+    reads the kernel's array (it may be cached or read-only).  Without a
+    grid co-moment a tile has ``_ROW_CHUNK_EVALS // min(count,
+    BLOCK_REPLICATES)`` rows, a fresh product freed before the next tile's
+    kernel call, so no grid x block array is made; one tile reuses a slab.
+    Row moments do not depend on the other rows, so tiles keep every bit.
+
     ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
     evaluates once for all its terms.  On the factored path (fac not None)
     the same block loop, with the same draws in the same order, folds the
-    r-vector w = B(x1) * tail and its r x r co-moment M2_w: mean A mu_w and
-    m2_diag rowwise(A M2_w A^T) are expanded over the grid, M2_w is kept
-    with A.  The diagonal of M2_w is the per-row one of ``merge_block``,
-    so r = 1 gives a * mu_w and a^2 * M2_w exactly.
+    r-vector w = B(x1) * tail, one tile of r rows, and its r x r co-moment
+    M2_w: mean A mu_w and m2_diag rowwise(A M2_w A^T) are expanded over the
+    grid, M2_w is kept with A.  The diagonal of M2_w is the per-row one of
+    ``merge_block``, so r = 1 gives a * mu_w and a^2 * M2_w exactly.
     """
     if fac is None:
         rows, full = grid.shape[0], collect_cov
@@ -243,23 +242,22 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
         a_t, b, eps = fac
         # a 1 x 1 co-moment is its diagonal; forming it per block costs a BLAS dot
         rows, full = a_t.shape[1], a_t.shape[1] > 1
-    tm = TermMoments(m=m, theta=theta)
-    slab = np.empty(rows * min(count, BLOCK_REPLICATES))  # each block's values, centered in place
-    done = 0
-    while done < count:
+    step = rows if full or fac is not None else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
+    tiles = [TermMoments(m=m, theta=theta) for _ in range(0, rows, step)]
+    slab = np.empty(rows * min(count, BLOCK_REPLICATES)) if len(tiles) == 1 else None
+    for done in range(0, count, BLOCK_REPLICATES):
         nb = min(BLOCK_REPLICATES, count - done)
         xs = mu.sample(domain, nb * m, rng).reshape(nb, m, domain.dim)
-        vals = slab[:rows * nb].reshape(rows, nb)
-        if fac is None:
-            _term_field(first(grid[:, None, :], xs[None, :, 0, :]), tail, xs, vals)
-        else:
-            _term_field(np.reshape(b(xs[:, 0, :]), vals.shape), tail, xs, vals)
-        with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
-            mean_b = vals.mean(axis=1)
-        if not np.all(np.isfinite(mean_b)):
-            _name_nonfinite(vals, xs, grid if fac is None else None)
-        tm.merge_block(vals, full, mean_b)
-        done += nb
+        x1, tail_b = xs[:, 0, :], 1.0 if tail is None else tail(xs)
+        out = None if slab is None else slab[:rows * nb].reshape(rows, nb)
+        for i, tm in enumerate(tiles):
+            pts = grid[i * step:(i + 1) * step] if fac is None else None
+            _fold_tile(tm, np.multiply(first(pts[:, None, :], x1[None]) if fac is None else
+                                       np.reshape(b(x1), out.shape), tail_b, out=out, dtype=float),
+                       full, xs, pts)
+    tm = TermMoments(m=m, theta=theta, count=count, m2=tiles[0].m2,
+                     mean=np.concatenate([t.mean for t in tiles]),
+                     m2_diag=np.concatenate([t.m2_diag for t in tiles]))
     if fac is None:
         return tm
     m2 = np.diag(tm.m2_diag) if tm.m2 is None else tm.m2
@@ -314,7 +312,7 @@ def solve_fredholm_mc(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAllo
     if alloc.N != plan.N:
         raise ValueError(f"allocation is for N={alloc.N} but truncation plan has N={plan.N}")
     grid = _as_points(spec, t_grid)
-    tail = functools.partial(_chain_tail, spec)
+    tail = functools.partial(_chain_tail, spec.kernel, spec.forcing)
     fac = _first_factors(spec.kernel, grid, spec.domain)
     moments = [_run_term(int(alloc.counts[m - 1]), m, grid, substream(seed, TAG_SOLVE, m),
                          spec.mu, spec.domain, spec.kernel, fac, tail,
@@ -399,7 +397,7 @@ def derivative_solve(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAlloc
     while len(r_u) < n_terms:  # m_max was tight: r_m <= min_k r_k r_(m-k)
         r_u = np.append(r_u, np.min(r_u * r_u[::-1]))
     theta, counts, _ = counts_from_weights(r_u, n_terms, alloc.n_total)
-    tail = functools.partial(_chain_tail, spec)
+    tail = functools.partial(_chain_tail, spec.kernel, spec.forcing)
     fac = _first_factors(spec.kernel_dt, grid, spec.domain)
     moments = [_run_term(int(counts[j - 1]), j, grid, substream(seed, TAG_DERIVATIVE, j),
                          spec.mu, spec.domain, spec.kernel_dt, fac, tail,
@@ -438,7 +436,7 @@ def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,
         raise BudgetError(f"realized draw cost {realized} exceeds twice the budget "
                           f"{budget * dim}; heavy-tailed depth draw, re-seed or raise budget")
     f_grid = np.asarray(spec.forcing(grid), dtype=float)
-    tail = functools.partial(_chain_tail, spec)
+    tail = functools.partial(_chain_tail, spec.kernel, spec.forcing)
     fac = _first_factors(spec.kernel, grid, spec.domain)
     per_term = np.empty((M, grid.shape[0]))
     rank = eps_k = None

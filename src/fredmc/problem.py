@@ -16,10 +16,10 @@ the measure, refined by ``gauss_legendre`` until two rules agree.  The
 power norms take the sup over those nodes and a fixed grid of the box
 (``_power_norms_quadrature``); solution values come from a Nystrom solve
 (``nystrom``).  Above 2-D the rule exceeds its node budget and only the
-Monte-Carlo norms run.  Points are always arrays of shape
-``(n, dim)`` and kernels/forcings are vectorized over a trailing
-coordinate axis: ``kernel(t, s)`` with ``t, s`` of shape ``(..., dim)``
-returns shape ``(...)``.
+Monte-Carlo norms run, through the estimator's term runner.  Points are
+always arrays of shape ``(n, dim)`` and kernels/forcings are vectorized
+over a trailing coordinate axis: ``kernel(t, s)`` with ``t, s`` of shape
+``(..., dim)`` returns shape ``(...)``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import BudgetError, ContractivityError
 from .rng import TAG_DISTANCE, TAG_NORM_MC, substream
 
 DISTANCE_SAMPLE = 1000   # sample size for the custom-table distance
-_ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk of a grid x sample evaluation
+_ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk (or runner tile) of a grid x sample array
 _NYSTROM_NODES = 48 ** 2      # Gauss-Legendre nodes per solve: a node matrix of at most 42 MB
 _NORM_GRID = {1: 1025, 2: 65}  # points per axis of the fixed grid the power norms' sup_t covers
 
@@ -306,31 +306,19 @@ def nystrom(spec: ProblemSpec, t: np.ndarray, node_fn):
 def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) -> np.ndarray:
     """MC upper estimate: the entrywise-absolute chain product dominates
     the absolute iterated kernel, so its dependent-trial average over a
-    grid of t upper-estimates r_m (up to MC noise).  The first factor is
-    evaluated in row chunks of the grid, so memory does not grow with G,
-    and each row is reduced by numpy's pairwise sum, whose order does not
-    depend on the number of BLAS threads."""
-    rng = substream(spec.mu.seed_stream_id, TAG_NORM_MC)
-    grid = spec.domain.grid()
-    rows = max(1, _ROW_CHUNK_EVALS // n)
+    grid of t upper-estimates r_m (up to MC noise).  Each m is one term
+    runner call on the one ``TAG_NORM_MC`` substream: |K| (K^2 for U) times
+    its chain without forcing."""
+    from .estimator import _chain_tail, _run_term  # the estimator imports this module
 
     def abs_kernel(t, s):
         k = np.abs(np.asarray(spec.kernel(t, s), dtype=float))
         return np.square(k, out=k) if which == "U" else k
 
-    out = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        xs = spec.mu.sample(spec.domain, n * m, rng).reshape(n, m, spec.domain.dim)
-        chain = np.ones(n)
-        for i in range(m - 1):
-            chain *= abs_kernel(xs[:, i, :], xs[:, i + 1, :])
-        row_max = []
-        for i in range(0, len(grid), rows):
-            first = abs_kernel(grid[i:i + rows, None, :], xs[None, :, 0, :])
-            first *= chain
-            row_max.append(np.max(first.sum(axis=1)))
-        out[m - 1] = float(np.max(row_max) / n)
-    return out
+    rng, grid = substream(spec.mu.seed_stream_id, TAG_NORM_MC), spec.domain.grid()
+    tail = functools.partial(_chain_tail, abs_kernel, None)
+    return np.array([np.max(_run_term(n, m, grid, rng, spec.mu, spec.domain, abs_kernel, None, tail,
+                                      1.0, False).mean) for m in range(1, m_max + 1)])
 
 
 def radius_bound(r) -> float:
@@ -369,6 +357,8 @@ def power_norms(spec: ProblemSpec, m_max: int = 12, method: str = "quadrature") 
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    if np.isnan(r_S).any() or np.isnan(r_U).any():
+        raise ValueError(f"{method} power norms are not all numbers: r_S={r_S}, r_U={r_U}")
     rho_u = radius_bound(r_U)
     if rho_u >= 1.0:
         raise ContractivityError(f"no r_k(U)^(1/k) < 1 for k <= {m_max} (smallest {rho_u:.6f}); "

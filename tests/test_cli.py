@@ -203,6 +203,28 @@ def test_coverage_study_warns_when_truncation_bias_exceeds_the_band(tmp_path, ca
     assert ("cannot cover the truncation bias" in capsys.readouterr().err) == warns
 
 
+@pytest.mark.parametrize("case", ["solve-1d-workload", "ts-small-epsilon"])
+def test_solve_warns_when_truncation_bias_exceeds_a_band(tmp_path, capsys, case):
+    # the solve-1d workload (gauss-conv, n = 1e6, G = 101, both bands, seed
+    # 5) has tail_bound 4.53e-3 against a gauss-sim half-width of 4.74e-4;
+    # t*s at epsilon 1e-5 has a tail far below both half-widths
+    if case == "solve-1d-workload":
+        gauss = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0, "bounds": [[0.0, 1.0]],
+                 "forcing": {"kind": "const", "value": 1.0}}
+        cfg = {"problem": gauss, "budget": 10 ** 6, "grid": 101, "seed": 5}
+    else:
+        cfg = {"epsilon": 1e-5, "budget": 10 ** 5}
+    path = _write_config(tmp_path, band_method="both", out_dir=str(tmp_path / "out"), **cfg)
+    assert main(["solve", "--config", str(path)]) == 0
+    tail = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]["tail_bound"]
+    widths = {b["method"]: b["half_width"] for b in
+              json.loads((tmp_path / "out" / "band.json").read_text())}
+    err = capsys.readouterr().err
+    for method, width in widths.items():
+        assert (f"exceeds the {method} half-width" in err) == (tail > width)
+    assert ("cannot cover the truncation bias" in err) == (case == "solve-1d-workload")
+
+
 def test_quadrature_norms_above_2d_exit_4_and_name_mc(tmp_path, capsys):
     problem = {**GAUSS_2D, "bounds": [[0, 1]] * 3}
     path = _write_config(tmp_path, problem=problem, grid=3, out_dir=str(tmp_path / "out"))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import KernelTimesForcing
-from fredmc.problem import DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
+from fredmc.estimator import BLOCK_REPLICATES
+from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
 from fredmc.registry import _taylor_rest
 
 
@@ -210,6 +212,83 @@ def _unfactored(spec):
     k, kdt = spec.kernel, spec.kernel_dt
     return dataclasses.replace(spec, kernel=lambda t, s: k(t, s),
                                kernel_dt=None if kdt is None else (lambda t, s: kdt(t, s)))
+
+
+@pytest.fixture(scope="module")
+def gauss2d():
+    """2-D gauss-conv (Taylor rank 351) and its quadrature power norms."""
+    spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]]})
+    return spec, fm.power_norms(spec, 12)
+
+
+def _with_grid(spec, points_per_dim):
+    return dataclasses.replace(spec, domain=dataclasses.replace(spec.domain,
+                                                                grid_points_per_dim=points_per_dim))
+
+
+@pytest.mark.parametrize("engine", ["solve", "integral", "geometric"])
+def test_row_tiles_keep_the_bits_of_one_tile(engine, gauss2d, monkeypatch):
+    # a plain-function kernel on a 17^2 grid: at 16384-tuple blocks the
+    # general path folds it in 3 row tiles without a co-moment, and in one
+    # with it (solve, integral) or with a tile bound above the grid
+    # (geometric, which collects none)
+    spec, pnt = gauss2d
+    spec, grid, n = _unfactored(spec), spec.domain.grid(17), 20_000
+    assert len(grid) > 2 * (_ROW_CHUNK_EVALS // BLOCK_REPLICATES)
+
+    def run(one_tile):
+        if engine == "geometric":
+            if one_tile:
+                monkeypatch.setattr("fredmc.estimator._ROW_CHUNK_EVALS", len(grid) * BLOCK_REPLICATES)
+            return fm.solve_geometric(spec, 0.5, 2, 2 * n, grid, seed=5, pnt=pnt)
+        if engine == "integral":
+            return fm.estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
+                                                   grid, n, seed=5, collect_covariance=one_tile)
+        return fm.solve_fredholm_mc(spec, _plan(2), fm.optimal_allocation(pnt, 2, n + 5000), grid,
+                                    seed=5, collect_covariance=one_tile)
+
+    tiled, one = run(False), run(True)
+    assert tiled.factor_rank is None
+    assert np.array_equal(tiled.values, one.values)
+    assert np.array_equal(tiled.pointwise_var, one.pointwise_var)
+    assert np.array_equal(tiled.per_term, one.per_term)
+
+
+@pytest.mark.parametrize("points_per_dim", [21, 41], ids=["general", "factored"])
+@pytest.mark.parametrize("engine", ["solve", "integral", "geometric"])
+def test_draws_are_grid_independent_on_a_2d_sub_grid(engine, points_per_dim, gauss2d):
+    # 2-D: the 21^2 grid and its every-other-point 11^2 sub-grid share their
+    # points bit for bit; the domain's grid size picks the path (r = 351 is
+    # above 441 / 2, below 1681 / 2), and on the general path the 21^2 grid
+    # spans 4 row tiles of solve's leading term, the sub-grid one
+    spec, pnt = gauss2d
+    spec = _with_grid(spec, points_per_dim)
+    fine = spec.domain.grid(21)
+    every_other = np.arange(21) % 2 == 0
+    sub = np.logical_and.outer(every_other, every_other).ravel()
+    a = _engine_on(engine, spec, pnt, fine, seed=21)
+    b = _engine_on(engine, spec, pnt, fine[sub], seed=21)
+    assert (a.factor_rank is None) == (points_per_dim == 21)
+    assert np.array_equal(a.values[sub], b.values)
+    assert np.array_equal(a.pointwise_var[sub], b.pointwise_var)
+    assert np.array_equal(a.per_term[:, sub], b.per_term)
+
+
+def test_general_path_allocates_no_grid_by_block_array(gauss2d):
+    # a 41^2 plain-function kernel: one 1681 x 16384 block of values would
+    # be 220 MB; folded in row tiles, the peak is a tile's kernel temporaries
+    spec, pnt = gauss2d
+    spec = _unfactored(_with_grid(spec, 41))
+    grid = spec.domain.grid()
+    alloc = fm.optimal_allocation(pnt, 1, 20_000)
+    assert alloc.counts[0] > BLOCK_REPLICATES
+    tracemalloc.start()
+    try:
+        fm.solve_fredholm_mc(spec, _plan(1), alloc, grid, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * _ROW_CHUNK_EVALS < 8 * len(grid) * BLOCK_REPLICATES
 
 
 def _factored_case(problem, ts_spec, ts_pnt):

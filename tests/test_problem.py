@@ -130,6 +130,29 @@ def test_power_norms_mc_rows_are_chunked():
         assert r[m - 1] == pytest.approx(np.max(first @ chain) / n, rel=n * np.finfo(float).eps)
 
 
+def test_mc_power_norms_name_t_and_x_of_a_nonfinite_kernel_value(gauss_spec):
+    # gauss-conv with NaN for t > 0.7: the runner names the first such grid
+    # point (0.7 + 1 ulp) and a tuple's x instead of returning NaN norms
+    k = gauss_spec.kernel
+    spec = dataclasses.replace(gauss_spec, kernel=lambda t, s: np.where(np.asarray(t)[..., 0] > 0.7,
+                                                                        np.nan, k(t, s)))
+    with pytest.raises(ValueError, match=r"non-finite integrand at t=\[0\.71?\], x=\[\[0\."):
+        fm.power_norms(spec, 6, "mc")
+
+
+@pytest.mark.parametrize("which", ["S", "U"])
+def test_power_norms_refuse_a_nan_from_any_method(ts_spec, which):
+    # a library analytic_norms callable with NaN past m = 2: NaN >= 1 is
+    # False, so a radius check alone would return the table
+    table = fm.power_norms(ts_spec, 6)
+
+    def norms(m, w):
+        return np.nan if m > 2 and w == which else getattr(table, f"r_{w}")[m - 1]
+
+    with pytest.raises(ValueError, match="analytic power norms are not all numbers"):
+        fm.power_norms(dataclasses.replace(ts_spec, analytic_norms=norms), 6, "analytic")
+
+
 def _norm_operator(spec, q):
     # w K_L(t, x) on the q-node Gauss-Legendre rule x, w over every point t
     # of the norms' sup: the nodes (whose rows are A) and the fixed grid
