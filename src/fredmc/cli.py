@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -41,9 +42,6 @@ from .neumann import choose_truncation, damped_solution_oracle
 from .problem import ProblemSpec, power_norms
 from .registry import build_problem, exact_solution
 
-MODES = ("solve", "integrate", "derivative", "geometric", "allocate-only",
-         "rate-study", "coverage-study")
-_SUBCOMMAND_MODE = {"allocate": "allocate-only"}
 DEFAULT_BUDGETS = (1_000, 10_000, 100_000, 1_000_000)
 # BLAS thread settings as the run saw them: some covariance and gauss-sim
 # bits depend on the BLAS thread count, so the manifest records it
@@ -88,9 +86,17 @@ def validate_and_echo(raw: dict, echo: bool = True) -> ExperimentConfig:
     return cfg
 
 
-# accepted JSON types per field annotation; a bool is not taken for a number
-_FIELD_TYPES = {"int": (int, float), "float": (int, float),
-                "Optional[int]": (int, float, type(None)), "str": (str,), "tuple": (list, tuple)}
+# accepted JSON types per field annotation (int fields: see _integral); a
+# bool is not taken for a number
+_FIELD_TYPES = {"float": (int, float), "str": (str,), "tuple": (list, tuple)}
+
+
+def _integral(name: str, value) -> int:
+    """An integral JSON number (2 or 2.0) as an int; anything else is a ConfigError."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer: {value!r}")
+    return int(value)
 
 
 def _normalize(raw: dict) -> ExperimentConfig:
@@ -105,7 +111,9 @@ def _normalize(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**raw)
     for f in dataclasses.fields(cfg):
         value, allowed = getattr(cfg, f.name), _FIELD_TYPES.get(f.type)
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+        if f.type == "int" or f.type == "Optional[int]" and value is not None:
+            setattr(cfg, f.name, _integral(f.name, value))
+        elif allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
             raise ConfigError(f"{f.name} has the wrong type: {value!r}")
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")
@@ -125,15 +133,17 @@ def _normalize(raw: dict) -> ExperimentConfig:
         raise ConfigError("tail_report needs n_sim >= 1e5")
     if (cfg.tail_report or cfg.export_covariance) and cfg.band_method == "nonasymptotic-psi":
         raise ConfigError("tail_report/export_covariance need the gauss-sim band")
+    if (cfg.tail_report or cfg.export_covariance) and cfg.mode == "geometric":
+        raise ConfigError("geometric mode has no plug-in covariance model")
     if cfg.mode == "derivative" and cfg.band_method != "gauss-sim":
         raise ConfigError("derivative mode supports band_method gauss-sim only")
+    cfg.budgets = tuple(_integral("budgets entry", b) for b in cfg.budgets)
     try:
-        cfg.budgets = tuple(int(b) for b in cfg.budgets)
         _build_spec(cfg)  # fail early on problem parameters
     except KeyError as exc:
         raise ConfigError(f"problem {cfg.problem['name']!r} is missing parameter {exc}") from None
     except TypeError as exc:
-        raise ConfigError(f"malformed budgets or problem parameter: {exc}") from None
+        raise ConfigError(f"malformed problem parameter: {exc}") from None
     return cfg
 
 
@@ -180,33 +190,32 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_estimate_csv(path, est: EstimateTable) -> None:
-    dim = est.t_grid.shape[1]
+def _write_csv(path, header, rows) -> None:
+    """The one CSV dialect of every table: UTF-8, LF line endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"t_{i + 1}" for i in range(dim)] + ["value", "var", "n_used", "mode", "seed"])
-        for j in range(est.t_grid.shape[0]):
-            w.writerow([_fmt(c) for c in est.t_grid[j]]
-                       + [_fmt(est.values[j]), _fmt(est.pointwise_var[j]),
-                          est.n_used, est.mode, est.seed])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_estimate_csv(path, est: EstimateTable) -> None:
+    coords = [[_fmt(c) for c in t] for t in est.t_grid]
+    _write_csv(path, [f"t_{i + 1}" for i in range(est.t_grid.shape[1])]
+               + ["value", "var", "n_used", "mode", "seed"],
+               (t + [_fmt(v), _fmt(var), est.n_used, est.mode, est.seed]
+                for t, v, var in zip(coords, est.values, est.pointwise_var)))
 
 
 def write_per_term_csv(path, est: EstimateTable) -> None:
-    dim = est.t_grid.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"t_{i + 1}" for i in range(dim)] + ["m", "value"])
-        for m in range(est.per_term.shape[0]):
-            for j in range(est.t_grid.shape[0]):
-                w.writerow([_fmt(c) for c in est.t_grid[j]] + [m + 1, _fmt(est.per_term[m, j])])
+    coords = [[_fmt(c) for c in t] for t in est.t_grid]
+    _write_csv(path, [f"t_{i + 1}" for i in range(est.t_grid.shape[1])] + ["m", "value"],
+               (t + [m, _fmt(v)] for m, term in enumerate(est.per_term, start=1)
+                for t, v in zip(coords, term)))
 
 
 def write_covariance_csv(path, cov) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([";".join(_fmt(x) for x in pt) for pt in cov.t_grid])
-        for row in cov.Z_hat:
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(path, [";".join(_fmt(x) for x in pt) for pt in cov.t_grid],
+               ([_fmt(v) for v in row] for row in cov.Z_hat))
 
 
 def _write_manifest(out, cfg: ExperimentConfig, artifacts, summary, t0) -> None:
@@ -230,10 +239,14 @@ def _write_manifest(out, cfg: ExperimentConfig, artifacts, summary, t0) -> None:
 
 
 def _pipeline(cfg: ExperimentConfig, spec: ProblemSpec, budget: Optional[int] = None):
+    """Power norms, truncation and allocation, with the stage summary that
+    every mode running them writes into its manifest."""
     pnt = power_norms(spec, m_max=cfg.m_max, method=cfg.norms_method)
     plan = choose_truncation(pnt, spec.f_norm, cfg.epsilon)
     alloc = optimal_allocation(pnt, plan.N, budget or cfg.budget)
-    return pnt, plan, alloc
+    summary = {"N": plan.N, "tail_bound": plan.tail_bound, "tail_basis": plan.basis,
+               "norms_accuracy": pnt.accuracy}
+    return pnt, plan, alloc, summary
 
 
 def _reference_solution(spec: ProblemSpec) -> tuple[np.ndarray, dict]:
@@ -282,12 +295,10 @@ def _bands_for(cfg: ExperimentConfig, spec, alloc, est, n: int):
 
 
 def _run_allocate(cfg: ExperimentConfig, out, t0) -> int:
-    spec = _build_spec(cfg)
-    pnt, plan, alloc = _pipeline(cfg, spec)
+    _, plan, alloc, summary = _pipeline(cfg, _build_spec(cfg))
     alloc.to_json(out / "allocation.json")
     _write_manifest(out, cfg, ["allocation.json"],
-                    {"N": plan.N, "tail_bound": plan.tail_bound, "tail_basis": plan.basis,
-                     "norms_accuracy": pnt.accuracy, "phi_predicted": alloc.phi_predicted}, t0)
+                    {**summary, "phi_predicted": alloc.phi_predicted}, t0)
     print(f"allocate-only: N={plan.N} cost_B={alloc.cost_B} phi={alloc.phi_predicted:.6g}")
     return 0
 
@@ -296,24 +307,22 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
     grid = spec.domain.grid()
     artifacts = ["estimate.csv", "manifest.json"]
-    summary: dict = {}
     collect = cfg.band_method in ("gauss-sim", "both")
 
-    cov = None
     if cfg.mode == "geometric":
-        if cfg.export_covariance or cfg.tail_report:
-            raise ConfigError("geometric mode has no plug-in covariance model")
-        pnt, _, _ = _pipeline(cfg, spec, budget=max(cfg.budget, 1))
-        M = int(cfg.M) if cfg.M else max(2, int(round(math.sqrt(cfg.budget))))
+        # the geometric engine reads the power norms only: no truncation, no allocation
+        pnt = power_norms(spec, m_max=cfg.m_max, method=cfg.norms_method)
+        M = cfg.M or max(2, round(math.sqrt(cfg.budget)))
         est = solve_geometric(spec, cfg.lam, M, cfg.budget, grid, cfg.seed, pnt=pnt)
-        summary["lam"], summary["M"], summary["n_used"] = cfg.lam, M, est.n_used
-        bands = []
+        summary = {"norms_accuracy": pnt.accuracy, "lam": cfg.lam, "M": M, "n_used": est.n_used}
+        bands, cov = [], None
     elif cfg.mode == "integrate":
         est = estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
                                            grid, cfg.budget, cfg.seed, collect_covariance=collect)
         bands, cov = _bands_for(cfg, spec, None, est, cfg.budget)
+        summary = {}
     else:
-        pnt, plan, alloc = _pipeline(cfg, spec)
+        _, plan, alloc, summary = _pipeline(cfg, spec)
         alloc.to_json(out / "allocation.json")
         artifacts.append("allocation.json")
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
@@ -322,8 +331,6 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         for band, _ in bands if cfg.mode == "solve" else ():
             _warn_if_tail_exceeds(plan.tail_bound, band.half_width, band.method,
                                   "its target is the truncated solution y^(N)")
-        summary.update(N=plan.N, tail_bound=plan.tail_bound, tail_basis=plan.basis,
-                       norms_accuracy=pnt.accuracy)
     if est.mode != "geometric":
         summary["first_factor"] = _first_factor_summary(spec, est)
 
@@ -373,7 +380,7 @@ def _solve_sup_error(cfg, spec, pnt, plan, n, rep, ref) -> float:
 
 
 def _geometric_sup_error(cfg, spec, pnt, n, rep, ref) -> float:
-    M = cfg.M or max(2, int(round(math.sqrt(n))))
+    M = cfg.M or max(2, round(math.sqrt(n)))
     est = solve_geometric(spec, cfg.lam, M, n, spec.domain.grid(), cfg.seed + rep, pnt=pnt)
     return float(np.max(np.abs(est.values - ref)))
 
@@ -395,33 +402,24 @@ def _loglog_slope(ns, errs) -> float:
 
 def _run_rate_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
-    pnt, plan, _ = _pipeline(cfg, spec, budget=max(cfg.budgets))
+    pnt, plan, _, summary = _pipeline(cfg, spec, budget=max(cfg.budgets))
     ref_solve, accuracy = _reference_solution(spec)
     ref_geo, q, diff = damped_solution_oracle(spec, cfg.lam, spec.domain.grid())
     accuracy = {"q": max(accuracy["q"], q), "diff": max(accuracy["diff"], diff)}
     rows = []
     slopes = {}
-    for method, err_fn, ref in (("solve", _solve_sup_error, ref_solve),
-                                ("geometric", _geometric_sup_error, ref_geo)):
+    for method, err_fn, stages, ref in (("solve", _solve_sup_error, (pnt, plan), ref_solve),
+                                        ("geometric", _geometric_sup_error, (pnt,), ref_geo)):
         rmse = []
         for n in cfg.budgets:
-            if method == "solve":
-                tasks = [lambda n=n, r=r: err_fn(cfg, spec, pnt, plan, n, r, ref)
-                         for r in range(cfg.replications)]
-            else:
-                tasks = [lambda n=n, r=r: err_fn(cfg, spec, pnt, n, r, ref)
-                         for r in range(cfg.replications)]
-            errs = _parallel(cfg, tasks)
-            rows.extend((method, n, r, e) for r, e in enumerate(errs))
+            errs = _parallel(cfg, [functools.partial(err_fn, cfg, spec, *stages, n, r, ref)
+                                   for r in range(cfg.replications)])
+            rows.extend((method, n, r, _fmt(e)) for r, e in enumerate(errs))
             rmse.append(math.sqrt(float(np.mean(np.square(errs)))))
         slopes[method] = _loglog_slope(cfg.budgets, rmse)
-    with open(out / "rates.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "n", "replication", "sup_error"])
-        for method, n, r, e in rows:
-            w.writerow([method, n, r, _fmt(e)])
-    _write_manifest(out, cfg, ["rates.csv"], {"slopes": slopes, "reference_accuracy": accuracy,
-                                              "norms_accuracy": pnt.accuracy}, t0)
+    _write_csv(out / "rates.csv", ["method", "n", "replication", "sup_error"], rows)
+    _write_manifest(out, cfg, ["rates.csv"],
+                    {**summary, "slopes": slopes, "reference_accuracy": accuracy}, t0)
     print("rate-study slopes: " + ", ".join(f"{k}={v:.3f}" for k, v in slopes.items()))
     return 0
 
@@ -437,44 +435,41 @@ def _coverage_rep(cfg, spec, plan, alloc, ref, rep) -> tuple[int, float]:
 
 def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
-    pnt, plan, alloc = _pipeline(cfg, spec)
+    _, plan, alloc, summary = _pipeline(cfg, spec)
     ref, accuracy = _reference_solution(spec)
-    tasks = [lambda r=r: _coverage_rep(cfg, spec, plan, alloc, ref, r)
+    tasks = [functools.partial(_coverage_rep, cfg, spec, plan, alloc, ref, r)
              for r in range(cfg.replications)]
     covered, widths = zip(*_parallel(cfg, tasks))
-    with open(out / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["replication", "covered"])
-        for r, c in enumerate(covered):
-            w.writerow([r, c])
+    _write_csv(out / "coverage.csv", ["replication", "covered"], enumerate(covered))
     rate = float(np.mean(covered))
     ranked = sorted(widths)  # the median as np.median forms it, which would import numpy.ma
     median_width = (ranked[(len(ranked) - 1) // 2] + ranked[len(ranked) // 2]) / 2.0
-    _write_manifest(out, cfg, ["coverage.csv"], {"coverage": rate, "delta": cfg.delta, "N": plan.N,
-                                                 "tail_bound": plan.tail_bound,
-                                                 "median_half_width": median_width,
-                                                 "reference_accuracy": accuracy,
-                                                 "norms_accuracy": pnt.accuracy}, t0)
+    _write_manifest(out, cfg, ["coverage.csv"],
+                    {**summary, "coverage": rate, "delta": cfg.delta,
+                     "median_half_width": median_width, "reference_accuracy": accuracy}, t0)
     _warn_if_tail_exceeds(plan.tail_bound, median_width, "median gauss-sim",
                           "coverage is measured against the full solution")
     print(f"coverage-study: {rate:.3f} over {cfg.replications} replications (target {1 - cfg.delta})")
     return 0
 
 
+# subcommand -> (mode, runner); the one list of modes, read by the config
+# check, the parser and run()
+_COMMANDS = {"solve": ("solve", _run_point_estimate),
+             "integrate": ("integrate", _run_point_estimate),
+             "derivative": ("derivative", _run_point_estimate),
+             "geometric": ("geometric", _run_point_estimate),
+             "allocate": ("allocate-only", _run_allocate),
+             "rate-study": ("rate-study", _run_rate_study),
+             "coverage-study": ("coverage-study", _run_coverage_study)}
+MODES = tuple(mode for mode, _ in _COMMANDS.values())
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts under cfg.out_dir."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    if cfg.mode == "allocate-only":
-        return _run_allocate(cfg, out, t0)
-    if cfg.mode in ("solve", "integrate", "derivative", "geometric"):
-        return _run_point_estimate(cfg, out, t0)
-    if cfg.mode == "rate-study":
-        return _run_rate_study(cfg, out, t0)
-    if cfg.mode == "coverage-study":
-        return _run_coverage_study(cfg, out, t0)
-    raise ConfigError(f"unhandled mode {cfg.mode!r}")
+    return dict(_COMMANDS.values())[cfg.mode](cfg, out, time.monotonic())
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +480,7 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fredmc",
                                 description="Monte-Carlo Fredholm solver with uniform-norm bands")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("solve", "integrate", "derivative", "geometric", "allocate",
-                 "rate-study", "coverage-study", "validate"):
+    for name in (*_COMMANDS, "validate"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -512,7 +506,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    mode = None if args.command == "validate" else _SUBCOMMAND_MODE.get(args.command, args.command)
+    mode = None if args.command == "validate" else _COMMANDS[args.command][0]
     overrides = {"seed": args.seed, "budget": args.budget, "out_dir": args.out,
                  "workers": args.workers, "mode": mode}
     if isinstance(raw, dict):  # anything else is refused by validate_and_echo (exit 2)

@@ -135,11 +135,11 @@ class CovarianceModel:
     and for callers that want the G x G matrix."""
 
     def __init__(self, t_grid: np.ndarray, Z_hat: Optional[np.ndarray] = None, *,
-                 sigma_plus_sq: float, source: str = "plug-in-mc",
-                 A: Optional[np.ndarray] = None, S: Optional[np.ndarray] = None):
+                 sigma_plus_sq: float, A: Optional[np.ndarray] = None,
+                 S: Optional[np.ndarray] = None):
         if (Z_hat is None) == (A is None and S is None) or (A is None) != (S is None):
             raise ValueError("give either Z_hat or both factors A and S")
-        self.t_grid, self.sigma_plus_sq, self.source = t_grid, sigma_plus_sq, source
+        self.t_grid, self.sigma_plus_sq = t_grid, sigma_plus_sq
         self.A, self.S = A, Z_hat if A is None else S
         self._z_hat = Z_hat
 

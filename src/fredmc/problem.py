@@ -77,10 +77,6 @@ class DomainSpec:
     def lengths(self) -> np.ndarray:
         return _read_only(self.highs - self.lows)
 
-    @property
-    def diameter(self) -> float:
-        return float(np.sqrt(np.sum(self.lengths ** 2)))
-
     def grid(self, points_per_dim: Optional[int] = None) -> np.ndarray:
         """Full tensor output grid, shape (g^dim, dim), endpoints included."""
         g = points_per_dim or self.grid_points_per_dim

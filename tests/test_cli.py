@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fredmc
@@ -431,3 +432,93 @@ def test_manifest_records_first_factor(tmp_path, problem, grid, rank):
     terms = sum(k_sup ** (m - 1) for m in range(1, summary["N"] + 1))
     assert factor["bias_bound"] == pytest.approx(factor["eps_K"] * terms, rel=1e-12)
     assert "tail_bound" in summary
+
+
+def test_pipeline_modes_record_one_stage_summary(tmp_path):
+    # every mode that truncates writes the same stage summary into its manifest
+    stage = ("N", "tail_bound", "tail_basis", "norms_accuracy")
+    seen = {}
+    for command in ("allocate", "solve", "derivative", "rate-study", "coverage-study"):
+        out = tmp_path / command
+        path = _write_config(tmp_path, budgets=[1000, 2000], replications=2, out_dir=str(out))
+        assert main([command, "--config", str(path)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert set(stage) <= set(summary), command
+        seen[command] = {k: summary[k] for k in stage}
+    assert all(s == seen["allocate"] for s in seen.values()), seen
+
+
+@pytest.mark.parametrize("overrides", [{"problem": GAUSS_PROBLEM, "budget": 5, "M": 2},
+                                       {"m_max": 2, "epsilon": 1e-4}],
+                         ids=["budget-below-allocation-minimum", "truncation-beyond-m_max"])
+def test_geometric_runs_only_the_power_norms(tmp_path, overrides):
+    # a truncation or an allocation the geometric engine never uses cannot refuse its run
+    out = tmp_path / "geo"
+    path = _write_config(tmp_path, out_dir=str(out), **overrides)
+    assert main(["geometric", "--config", str(path)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert "norms_accuracy" in summary and "N" not in summary
+
+
+@pytest.mark.parametrize("overrides", [{"export_covariance": True},
+                                       {"tail_report": True, "n_sim": 100_000}],
+                         ids=["export_covariance", "tail_report"])
+def test_geometric_covariance_options_refused_by_validate_too(tmp_path, capsys, overrides):
+    out = tmp_path / "geo"
+    path = _write_config(tmp_path, mode="geometric", out_dir=str(out), **overrides)
+    for command in ("validate", "geometric"):
+        assert main([command, "--config", str(path)]) == 2
+        assert "no plug-in covariance model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    ("coverage-study", {"replications": 2.0}, 0),
+    ("solve", {"n_sim": 10000.0}, 0),
+    ("solve", {"m_max": 12.0}, 0),
+    ("rate-study", {"M": 10.0, "budgets": [1000, 2000.0], "replications": 1}, 0),
+    ("geometric", {"M": 10.5}, 2),
+    ("rate-study", {"budgets": [1000, 2000.5]}, 2),
+    ("solve", {"seed": 3.5}, 2),
+], ids=["replications", "n_sim", "m_max", "M-and-budgets", "M-fraction", "budgets-fraction",
+        "seed-fraction"])
+def test_integer_fields_take_integral_numbers_only(tmp_path, capsys, command, overrides, code):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, out_dir=str(out), **overrides)
+    assert main([command, "--config", str(path)]) == code
+    if code:
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_integral_float_budget_keeps_the_estimate(tmp_path):
+    for name, budget in (("int", 100_000), ("float", 100_000.0)):
+        path = _write_config(tmp_path, budget=budget, out_dir=str(tmp_path / name))
+        assert main(["solve", "--config", str(path)]) == 0
+    assert ((tmp_path / "int" / "estimate.csv").read_bytes()
+            == (tmp_path / "float" / "estimate.csv").read_bytes())
+
+
+def test_csv_artifacts_pinned_by_bytes(tmp_path):
+    # the constant fixture's estimates are exact, so its tables are known to the byte:
+    # UTF-8, LF line endings, shortest round-trip floats
+    out = tmp_path / "const"
+    path = _write_config(tmp_path, problem=CONST_PROBLEM, export_per_term=True,
+                         export_covariance=True, out_dir=str(out))
+    assert main(["solve", "--config", str(path)]) == 0
+    ts = [repr(t) for t in np.linspace(0.0, 1.0, 11).tolist()]
+    assert (out / "estimate.csv").read_bytes() == (
+        "t_1,value,var,n_used,mode,seed\n"
+        + "".join(f"{t},1.9921875,0.0,5019,solution,3\n" for t in ts)).encode()
+    assert (out / "per_term.csv").read_bytes() == (
+        "t_1,m,value\n"
+        + "".join(f"{t},{m},{0.5 ** m!r}\n" for m in range(1, 8) for t in ts)).encode()
+    assert (out / "covariance.csv").read_bytes() == (
+        ",".join(ts) + "\n" + (",".join(["0.0"] * 11) + "\n") * 11).encode()
+    for command, table, header in (("rate-study", "rates.csv", b"method,n,replication,sup_error\n"),
+                                   ("coverage-study", "coverage.csv", b"replication,covered\n")):
+        out = tmp_path / command
+        path = _write_config(tmp_path, budgets=[1000, 2000], replications=2, out_dir=str(out))
+        assert main([command, "--config", str(path)]) == 0
+        data = (out / table).read_bytes()
+        assert data.startswith(header) and b"\r" not in data
