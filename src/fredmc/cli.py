@@ -4,8 +4,7 @@ Wires the pipeline (power norms -> truncation -> allocation -> solve ->
 bands), runs convergence/coverage studies, and writes CSV/JSON artifacts.
 Configs are single JSON files; see README for the schema.  Artifacts are
 byte-stable: fixed column order, shortest round-trip float formatting,
-LF line endings, and replication-ordered study output regardless of the
-worker count.
+LF line endings, and study replications run in order on one thread.
 
 Exit codes: 0 ok, 2 config, 3 contractivity, 4 budget (also an
 allocation that runs out of memory), 5 numerical.
@@ -14,10 +13,8 @@ allocation that runs out of memory), 5 numerical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -59,7 +56,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     replications: int = 1
-    workers: int = 1
+    workers: int = 1  # accepted and checked, selects nothing: replications run on one thread
     lam: float = 0.5
     M: Optional[int] = None
     band_method: str = "gauss-sim"
@@ -121,8 +118,6 @@ def _normalize(raw: dict) -> ExperimentConfig:
         raise ConfigError("epsilon must lie in (0, 0.5)")
     if not 0.0 < cfg.delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
-    if cfg.budget < 1 or cfg.grid < 2 or cfg.replications < 1 or cfg.workers < 1:
-        raise ConfigError("budget, grid, replications and workers must be positive (grid >= 2)")
     if cfg.band_method not in ("gauss-sim", "nonasymptotic-psi", "both"):
         raise ConfigError("band_method must be gauss-sim | nonasymptotic-psi | both")
     if not 0.0 < cfg.lam < 1.0:
@@ -138,6 +133,13 @@ def _normalize(raw: dict) -> ExperimentConfig:
     if cfg.mode == "derivative" and cfg.band_method != "gauss-sim":
         raise ConfigError("derivative mode supports band_method gauss-sim only")
     cfg.budgets = tuple(_integral("budgets entry", b) for b in cfg.budgets)
+    if not cfg.budgets or min(cfg.budgets) < 1:
+        raise ConfigError(f"budgets must list one or more budgets >= 1: {list(cfg.budgets)}")
+    for name, low in (("budget", 1), ("grid", 2), ("replications", 1), ("workers", 1),
+                      ("n_sim", 1), ("m_max", 2), ("M", 2)):  # M: when set
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ConfigError(f"{name} must be >= {low}: {value}")
     try:
         _build_spec(cfg)  # fail early on problem parameters
     except KeyError as exc:
@@ -385,15 +387,6 @@ def _geometric_sup_error(cfg, spec, pnt, n, rep, ref) -> float:
     return float(np.max(np.abs(est.values - ref)))
 
 
-def _parallel(cfg: ExperimentConfig, tasks):
-    """Run no-arg callables, preserving task order in the result list."""
-    if cfg.workers == 1:
-        return [t() for t in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-        futures = [ex.submit(t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def _loglog_slope(ns, errs) -> float:
     X = np.stack([np.ones(len(ns)), np.log(np.asarray(ns, dtype=float))], axis=1)
     coef, *_ = np.linalg.lstsq(X, np.log(np.asarray(errs, dtype=float)), rcond=None)
@@ -412,8 +405,7 @@ def _run_rate_study(cfg: ExperimentConfig, out, t0) -> int:
                                         ("geometric", _geometric_sup_error, (pnt,), ref_geo)):
         rmse = []
         for n in cfg.budgets:
-            errs = _parallel(cfg, [functools.partial(err_fn, cfg, spec, *stages, n, r, ref)
-                                   for r in range(cfg.replications)])
+            errs = [err_fn(cfg, spec, *stages, n, r, ref) for r in range(cfg.replications)]
             rows.extend((method, n, r, _fmt(e)) for r, e in enumerate(errs))
             rmse.append(math.sqrt(float(np.mean(np.square(errs)))))
         slopes[method] = _loglog_slope(cfg.budgets, rmse)
@@ -437,9 +429,8 @@ def _run_coverage_study(cfg: ExperimentConfig, out, t0) -> int:
     spec = _build_spec(cfg)
     _, plan, alloc, summary = _pipeline(cfg, spec)
     ref, accuracy = _reference_solution(spec)
-    tasks = [functools.partial(_coverage_rep, cfg, spec, plan, alloc, ref, r)
-             for r in range(cfg.replications)]
-    covered, widths = zip(*_parallel(cfg, tasks))
+    covered, widths = zip(*(_coverage_rep(cfg, spec, plan, alloc, ref, r)
+                            for r in range(cfg.replications)))
     _write_csv(out / "coverage.csv", ["replication", "covered"], enumerate(covered))
     rate = float(np.mean(covered))
     ranked = sorted(widths)  # the median as np.median forms it, which would import numpy.ma
@@ -486,7 +477,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--budget", type=int, default=None, help="override config budget")
         sp.add_argument("--out", default=None, help="override config out_dir")
-        sp.add_argument("--workers", type=int, default=None, help="override config workers")
+        sp.add_argument("--workers", type=int, default=None, help="config workers (selects nothing)")
     return p
 
 

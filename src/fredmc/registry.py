@@ -89,8 +89,12 @@ class GaussConvKernel:
 
     def __call__(self, t, s):
         t, s = np.asarray(t), np.asarray(s)
-        d2 = np.sum((t - s) ** 2, axis=-1)
-        return self.scale * np.exp(-self.kappa * d2)
+        # summed axis by axis in np.sum's order and scaled in place: no rows x n x dim array
+        d2 = (t[..., 0] - s[..., 0]) ** 2
+        for k in range(1, t.shape[-1]):
+            d2 += (t[..., k] - s[..., k]) ** 2
+        d2 *= -self.kappa
+        return self.scale * np.exp(d2)
 
     def factors(self):
         return _gauss_factors(self, lambda x, h, p: _taylor_rest(x, p), "t")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,23 @@ def test_coverage_study_byte_identical_across_workers(tmp_path):
     assert main(["coverage-study", "--config", str(path), "--workers", "2",
                  "--out", str(tmp_path / "c2")]) == 0
     assert (tmp_path / "c1" / "coverage.csv").read_bytes() == (tmp_path / "c2" / "coverage.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, table, workers, overrides", [
+    ("rate-study", "rates.csv", 4, {"replications": 3, "budgets": [500, 2000]}),
+    ("coverage-study", "coverage.csv", 2, {"replications": 4, "budget": 20_000, "epsilon": 0.001})],
+    ids=["rate", "coverage"])
+def test_studies_start_no_thread(tmp_path, monkeypatch, command, table, workers, overrides):
+    # workers is accepted but selects nothing: the replications run in order on one thread
+    def no_thread(self):
+        raise RuntimeError(f"{command} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    path = _write_config(tmp_path, out_dir=str(tmp_path / "w1"), **overrides)
+    assert main([command, "--config", str(path), "--workers", "1"]) == 0
+    assert main([command, "--config", str(path), "--workers", str(workers),
+                 "--out", str(tmp_path / "wn")]) == 0
+    assert (tmp_path / "w1" / table).read_bytes() == (tmp_path / "wn" / table).read_bytes()
 
 
 def test_coverage_study_artifacts(tmp_path):
@@ -489,6 +507,23 @@ def test_integer_fields_take_integral_numbers_only(tmp_path, capsys, command, ov
     if code:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("geometric", {"M": 1}, "M"),
+    ("solve", {"n_sim": -1}, "n_sim"),
+    ("solve", {"m_max": 0}, "m_max"),
+    ("rate-study", {"budgets": [0, 1000]}, "budgets"),
+    ("rate-study", {"budgets": []}, "budgets"),
+], ids=["geometric-M", "n_sim", "m_max", "budgets-entry", "budgets-empty"])
+def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, command, overrides, field):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, out_dir=str(out), **overrides)
+    for cmd in ("validate", command):
+        assert main([cmd, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_integral_float_budget_keeps_the_estimate(tmp_path):

@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as P
 import fredmc as fm
 from fredmc.problem import (_NORM_GRID, _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, Metric,
                             ProblemSpec, _power_norms_mc, _power_norms_quadrature)
-from fredmc.registry import _horner
+from fredmc.registry import GaussConvKernel, _horner
 from fredmc.rng import TAG_NORM_MC, substream
 
 
@@ -389,6 +389,30 @@ def test_kernel_increment_bounded_by_distance(fixture, request):
     R = np.asarray(spec.envelope_R(x))
     d = spec.metric.scale * np.sqrt(np.sum((t - s) ** 2, axis=-1)) ** spec.metric.exponent
     assert np.all(inc <= R * d + 1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gauss_conv_kernel_keeps_the_bits_of_the_summed_difference(dim):
+    kernel = GaussConvKernel(0.4, 2.0)
+    rng = np.random.default_rng(dim)
+    t, s = rng.random((61, 1, dim)), rng.random((1, 2000, dim))
+    summed = 0.4 * np.exp(-2.0 * np.sum((t - s) ** 2, axis=-1))
+    assert kernel(t, s).tobytes().hex() == summed.tobytes().hex()
+
+
+def test_gauss_conv_kernel_forms_no_tile_by_dim_array():
+    # one 2-D call on a 122 x 16384 runner tile returns 16 MB; the t - s
+    # difference over both axes alone would be 32 MB
+    kernel = GaussConvKernel(0.4, 2.0)
+    rng = np.random.default_rng(0)
+    t, s = rng.random((122, 1, 2)), rng.random((1, 16384, 2))
+    tracemalloc.start()
+    try:
+        kernel(t, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 122 * 16384 * 8
 
 
 def test_f_norm_attained_on_grid(ts_spec):
