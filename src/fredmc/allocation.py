@@ -85,16 +85,28 @@ def optimal_allocation(pnt: PowerNormTable, N: int, n_total: int) -> BudgetAlloc
     if n_total < minimum:
         raise BudgetError(f"budget {n_total} below minimum {minimum} "
                           f"(one replicate per term, term m costs m draws)")
-    theta, counts, R_half = counts_from_weights(pnt.r_U, N, n_total)
-    m = np.arange(1, N + 1)
-    cost = int(np.sum(m * counts))
-    phi = float(np.sum(pnt.r_U[:N] / counts))
+    return _allocation(np.asarray(pnt.r_U, dtype=float).copy(), N, n_total)
+
+
+def derivative_allocation(alloc: BudgetAllocation) -> BudgetAllocation:
+    """The allocation ``derivative_solve`` runs: terms 1..N+1 of the same
+    budget, from the power norms that ``alloc`` keeps.  When the table
+    stops at N, r_(N+1)(U) is bounded by submultiplicativity,
+    min_k r_k r_(N+1-k)."""
+    r_u = np.asarray(alloc.r_u, dtype=float)
+    while len(r_u) < alloc.N + 1:
+        r_u = np.append(r_u, np.min(r_u * r_u[::-1]))
+    return _allocation(r_u, alloc.N + 1, alloc.n_total)
+
+
+def _allocation(r_u: np.ndarray, N: int, n_total: int) -> BudgetAllocation:
+    """Rounded Lagrange-optimal allocation of n_total over terms 1..N of r_u = r_m(U)."""
+    theta, counts, R_half = counts_from_weights(r_u, N, n_total)
+    k = np.arange(1, N + 1)
     return BudgetAllocation(
         n_total=int(n_total), N=int(N), theta=theta, counts=counts,
-        cost_B=cost, phi_predicted=phi,
-        R_half=R_half, R_minus_half=r_alpha_sum(pnt, -0.5, N),
-        r_u=np.asarray(pnt.r_U, dtype=float).copy(),
-    )
+        cost_B=int(np.sum(k * counts)), phi_predicted=float(np.sum(r_u[:N] / counts)),
+        R_half=R_half, R_minus_half=float(np.sum(k ** -0.5 * np.sqrt(r_u[:N]))), r_u=r_u)
 
 
 def theorem11_bound(pnt: PowerNormTable, N: int, n_total: int, f_norm: float) -> tuple[float, float]:

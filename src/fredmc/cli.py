@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .allocation import optimal_allocation
+from .allocation import derivative_allocation, optimal_allocation
 from .confidence import (empirical_quantile, export_band_json, integral_psi, nonasymptotic_band,
                          simulate_sup_quantile, solution_psi, tail_shape_report)
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
@@ -325,7 +325,9 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         summary = {}
     else:
         _, plan, alloc, summary = _pipeline(cfg, spec)
-        alloc.to_json(out / "allocation.json")
+        # derivative mode runs N+1 terms: the file gives the allocation the engine runs
+        (derivative_allocation(alloc) if cfg.mode == "derivative" else alloc).to_json(
+            out / "allocation.json")
         artifacts.append("allocation.json")
         solver = derivative_solve if cfg.mode == "derivative" else solve_fredholm_mc
         est = solver(spec, plan, alloc, grid, cfg.seed, collect_covariance=collect)

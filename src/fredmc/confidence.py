@@ -124,8 +124,9 @@ def default_p_grid(a: float = 2.0, b: float = 512.0, n: int = 96) -> np.ndarray:
 
 
 def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
-                       envelope: str = "R") -> PsiFunction:
-    """Moment profile of the envelope: psi(p) = (int R(x)^p mu(dx))^(1/p).
+                       weight=None) -> PsiFunction:
+    """Moment profile of the envelope: psi(p) = (int R(x)^p mu(dx))^(1/p),
+    with R replaced by |weight(x)| R(x) when a weight function is given.
 
     Evaluated by midpoint quadrature, 2048 nodes in 1-D and 64 per axis
     above, with max-rescaling so large p never overflows; p values whose
@@ -133,11 +134,10 @@ def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
     last finite p).
     """
     p_grid = default_p_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
-    env = spec.envelope_R if envelope == "R" else spec.envelope_Q
-    if env is None:
-        raise ValueError(f"problem has no envelope {envelope!r}")
     nodes, w = spec.mu.quad_nodes(spec.domain, 2048 if spec.domain.dim == 1 else 64)
-    R = np.abs(np.asarray(env(nodes), dtype=float))
+    R = np.abs(np.asarray(spec.envelope_R(nodes), dtype=float))
+    if weight is not None:
+        R *= np.abs(np.asarray(weight(nodes)))
     rmax = float(R.max())
     if not np.isfinite(rmax) or rmax <= 0:
         raise ValueError("envelope must be positive somewhere and finite at quadrature nodes")
@@ -198,8 +198,8 @@ def v_star(psi: PsiFunction, x):
 def entropy_H(domain: DomainSpec, metric: Metric, eps):
     """Metric entropy H = log N(T, d, eps) for the declared metric, via
     the exact per-axis box covering ceil(L / (2 r)) with r the Euclidean
-    radius of an eps-ball.  Accepts an array of eps; a scalar eps gives a
-    float."""
+    radius of an eps-ball, ``metric.log_radius(eps)``.  Accepts an array
+    of eps; a scalar eps gives a float."""
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
@@ -207,10 +207,7 @@ def entropy_H(domain: DomainSpec, metric: Metric, eps):
         raise ValueError("entropy for custom-table metrics is not defined; declare holder/log-power")
     if metric.kind == "holder" and metric.scale == 0.0:
         return 0.0 if eps.ndim == 0 else np.zeros_like(eps)
-    if metric.kind == "holder":
-        log_r = np.log(eps / metric.scale) / metric.exponent
-    else:  # log-power: d = scale * min(|log r|^-gamma, 1)
-        log_r = -((metric.scale / eps) ** (1.0 / metric.exponent))
+    log_r = metric.log_radius(eps)
     h = 0.0
     for length in domain.lengths:
         log_ratio = np.log(length / 2.0) - log_r
@@ -347,47 +344,38 @@ def tail_shape_report(cov: CovarianceModel, u_grid: Sequence[float], sims: np.nd
 # non-asymptotic band
 
 
-def _metric_at_radius(metric: Metric, r: float) -> float:
-    """Metric scale x at Euclidean ball radius r (inverse of the radius
-    map used by entropy_H)."""
-    if metric.kind == "holder":
-        return metric.scale * r ** metric.exponent
-    if r >= 1.0:
-        return metric.scale
-    return metric.scale * min(abs(np.log(r)) ** (-metric.exponent), 1.0)
-
-
-_COARSE_COUNT = 64  # per-axis covering counts handled by exact piecewise integration
+_COARSE_COUNT = 64   # per-axis covering counts handled by exact piecewise integration
+_FINE_CELLS = 2560   # log-spaced cells below the coarse region
 
 
 def _chaining_majorant(psib: PsiFunction, domain: DomainSpec, metric: Metric,
-                       sigma_psi: float, nodes: int) -> float:
-    """sigma + 9 * int_0^sigma v*(log 2N(T,d,x)) dx.
+                       sigma_psi: float) -> float:
+    """sigma + 9 * int_0^sigma v*(log 2N(T,d,x)) dx, as an upper sum.
 
-    The integrand is a step function of x: it changes only where a
-    per-axis covering count does.  The coarse region (counts up to
-    _COARSE_COUNT) is cut exactly at those breakpoints; the fine tail,
-    where individual steps are relatively tiny, is cut into ``nodes``
-    log-spaced cells.  Each cell contributes its width times the
-    integrand at its geometric midpoint, which is exact when the covering
-    count is constant on the cell.  Scales below sigma * 1e-14 are
-    negligible and dropped; single-ball scales contribute nothing.
+    The integrand does not increase in x (H does not, and v* does not
+    decrease), so each cell takes its value at its left end, its largest
+    on the cell.  The coarse region (per-axis counts up to _COARSE_COUNT)
+    is cut at the counts' breakpoints, where the integrand is constant on
+    each cell, so its sum is exact; the fine tail is cut into _FINE_CELLS
+    log-spaced cells, where the sum bounds the integral from above.
+    Scales below sigma * 1e-14 are negligible and dropped; single-ball
+    scales contribute nothing (a zero metric leaves sigma alone).
     """
-    if metric.kind == "holder" and metric.scale == 0.0:
-        return sigma_psi
     x_min = sigma_psi * 1e-14
-    r_c = float(np.max(domain.lengths)) / (2.0 * _COARSE_COUNT)
-    x_c = min(max(_metric_at_radius(metric, r_c), x_min), sigma_psi)
-    cuts = np.array([_metric_at_radius(metric, length / (2.0 * k))
-                     for length in domain.lengths for k in range(1, _COARSE_COUNT + 1)])
+    # x where an axis's count reaches k: its balls have radius L / (2 k); repeated cuts add empty cells
+    cuts = metric.at_radius(np.outer(domain.lengths, 0.5 / np.arange(1, _COARSE_COUNT + 1)))
+    x_c = min(max(float(cuts[:, -1].max()), x_min), sigma_psi)
     coarse = np.sort(np.concatenate([[x_c, sigma_psi], cuts[(cuts > x_c) & (cuts < sigma_psi)]]))
-    coarse = coarse[np.append(True, coarse[1:] != coarse[:-1])]  # np.unique imports numpy.ma
-    fine = np.geomspace(x_min, x_c, nodes + 1)[:-1] if x_c > x_min else np.empty(0)
+    fine = np.geomspace(x_min, x_c, _FINE_CELLS + 1)[:-1] if x_c > x_min else np.empty(0)
     edges = np.concatenate([fine, coarse])
-    h = entropy_H(domain, metric, np.sqrt(edges[:-1] * edges[1:]))
+    h = entropy_H(domain, metric, edges[:-1])
     filled = h > 0.0
     v = v_star(psib, np.log(2.0) + h[filled])
-    return sigma_psi + 9.0 * float(np.sum(v * np.diff(edges)[filled]))
+    z_bar = sigma_psi + 9.0 * float(np.sum(v * np.diff(edges)[filled]))
+    if not np.isfinite(z_bar):
+        raise ValueError("the chaining majorant is not finite; the metric/profile pair is "
+                         "outside the band's hypotheses")
+    return z_bar
 
 
 def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
@@ -402,12 +390,7 @@ def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     psib = psi_bar(psi)
-    z = _chaining_majorant(psib, domain, metric, sigma_psi, nodes=256)
-    z_fine = _chaining_majorant(psib, domain, metric, sigma_psi, nodes=2560)
-    if not np.isfinite(z_fine) or abs(z_fine - z) > 0.01 * abs(z_fine):
-        raise ValueError("entropy integral did not stabilize under 10x grid refinement; "
-                         "the metric/profile pair is outside the band's hypotheses")
-    z_bar = z_fine
+    z_bar = _chaining_majorant(psib, domain, metric, sigma_psi)
     # tail(u) <= delta  iff  log u >= min_p (log psibar(p) + log Zbar - log(delta) / p)
     u = max(2.0 * z_bar, float(np.exp(np.min(np.log(psib.values) + math.log(z_bar)
                                              - math.log(delta) / psib.p))))
@@ -448,10 +431,10 @@ def solution_psi(spec: ProblemSpec, alloc: BudgetAllocation,
 
 
 def integral_psi(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None) -> tuple[PsiFunction, float]:
-    """Profile for the parametric-integral field: the centered integrand
-    is dominated by twice the envelope Q, so psi = 2 psi_Q and the field
-    has uniform profile norm <= 1."""
-    psi_q = natural_psi_from_R(spec, p_grid, envelope="Q")
+    """Profile for the parametric-integral field: the integrand K(t, x) f(x)
+    is dominated by the envelope Q(x) = |f(x)| R(x), so the centered one by
+    2 Q, psi = 2 psi_Q and the field has uniform profile norm <= 1."""
+    psi_q = natural_psi_from_R(spec, p_grid, weight=spec.forcing)
     return PsiFunction(p=psi_q.p, values=2.0 * psi_q.values, kind="integral-profile",
                        support=psi_q.support), 1.0
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .allocation import BudgetAllocation, counts_from_weights
+from .allocation import BudgetAllocation, derivative_allocation
 from .errors import BudgetError, ContractivityError, UnsupportedDerivative
 from .neumann import TruncationPlan, _as_points
 from .problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec,
@@ -382,8 +382,8 @@ def derivative_solve(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAlloc
     Term j draws a pilot point plus a (j-1)-tuple and estimates
     V[S^(j-1) f]; terms j = 1..N+1 are used so the deterministic bias is
     bounded by ||V|| * epsilon (the dropped part is V applied to the
-    y-series tail beyond N).  Counts are re-derived for N+1 terms from the
-    allocation's power norms at the same total budget.
+    y-series tail beyond N).  The counts are those of
+    ``derivative_allocation(alloc)``: N+1 terms at the same total budget.
     """
     if spec.domain.dim != 1:
         raise UnsupportedDerivative("derivative solve supports 1-D domains only")
@@ -392,20 +392,15 @@ def derivative_solve(spec: ProblemSpec, plan: TruncationPlan, alloc: BudgetAlloc
     if alloc.N != plan.N:
         raise ValueError(f"allocation is for N={alloc.N} but truncation plan has N={plan.N}")
     grid = _as_points(spec, t_grid)
-    n_terms = plan.N + 1
-    r_u = np.asarray(alloc.r_u, dtype=float)
-    while len(r_u) < n_terms:  # m_max was tight: r_m <= min_k r_k r_(m-k)
-        r_u = np.append(r_u, np.min(r_u * r_u[::-1]))
-    theta, counts, _ = counts_from_weights(r_u, n_terms, alloc.n_total)
+    terms = derivative_allocation(alloc)
     tail = functools.partial(_chain_tail, spec.kernel, spec.forcing)
     fac = _first_factors(spec.kernel_dt, grid, spec.domain)
-    moments = [_run_term(int(counts[j - 1]), j, grid, substream(seed, TAG_DERIVATIVE, j),
+    moments = [_run_term(int(terms.counts[j - 1]), j, grid, substream(seed, TAG_DERIVATIVE, j),
                          spec.mu, spec.domain, spec.kernel_dt, fac, tail,
-                         float(theta[j - 1]), collect_covariance)
-               for j in range(1, n_terms + 1)]
+                         float(terms.theta[j - 1]), collect_covariance)
+               for j in range(1, terms.N + 1)]
     fprime = np.asarray(_forcing_derivative(spec)(grid), dtype=float)
-    cost = int(np.sum(np.arange(1, n_terms + 1) * counts))
-    return _table(grid, fprime, moments, cost, seed, "derivative", collect_covariance)
+    return _table(grid, fprime, moments, terms.cost_B, seed, "derivative", collect_covariance)
 
 
 def solve_geometric(spec: ProblemSpec, lam: float, M: int, budget: int, t_grid,

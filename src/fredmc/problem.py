@@ -137,8 +137,13 @@ class Metric:
     """Declared form of the natural semi-distance d(t,s).
 
     kind "holder":    d = scale * |t-s|^exponent
-    kind "log-power": d = scale * min(|log|t-s||^-exponent, 1)
+    kind "log-power": d = scale * min(|log|t-s||^-exponent, 1) for |t-s| < 1,
+                      and scale (its largest value) from |t-s| = 1 on
     kind "custom-table": d estimated by sampling |K(t,x)-K(s,x)| / R(x)
+
+    ``at_radius`` maps a Euclidean separation r to d, and ``log_radius``
+    maps d back to log r; both are the holder or log-power formula, so a
+    custom-table metric must not reach them.
     """
 
     kind: str
@@ -148,6 +153,20 @@ class Metric:
     def __post_init__(self):
         if self.kind not in ("holder", "log-power", "custom-table"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
+
+    def at_radius(self, r):
+        """d at Euclidean separation r (an array of r gives an array)."""
+        r = np.asarray(r, dtype=float)
+        if self.kind == "holder":
+            return self.scale * r ** self.exponent
+        with np.errstate(divide="ignore"):  # log-power: 0 at r = 0, scale from r = 1 on
+            return self.scale * np.minimum(np.abs(np.log(np.minimum(r, 1.0))) ** -self.exponent, 1.0)
+
+    def log_radius(self, d):
+        """log r with at_radius(r) = d, for 0 < d (< scale for log-power)."""
+        if self.kind == "holder":
+            return np.log(d / self.scale) / self.exponent
+        return -((self.scale / d) ** (1.0 / self.exponent))
 
 
 @dataclass
@@ -163,7 +182,6 @@ class ProblemSpec:
     metric: Metric
     kernel_dt: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     forcing_dt: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    envelope_Q: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # sup|f|, exact for registry forcings; None takes the max over the output
     # grid (>= 257 points in 1-D), which can miss the sup: not a bound
     f_norm: Optional[float] = None
@@ -367,17 +385,8 @@ def natural_distance(spec: ProblemSpec, t, s) -> float:
     """Natural semi-distance d(t,s) between two parameter points."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    r = float(np.sqrt(np.sum((t - s) ** 2)))
-    kind = spec.metric.kind
-    if kind == "holder":
-        return spec.metric.scale * r ** spec.metric.exponent
-    if kind == "log-power":
-        if r == 0.0:
-            return 0.0
-        logr = abs(np.log(r))
-        if logr == 0.0:
-            return spec.metric.scale
-        return spec.metric.scale * min(logr ** (-spec.metric.exponent), 1.0)
+    if spec.metric.kind != "custom-table":
+        return float(spec.metric.at_radius(np.sqrt(np.sum((t - s) ** 2))))
     # custom-table: sampled sup of kernel increments over the envelope
     rng = substream(spec.mu.seed_stream_id, TAG_DISTANCE)
     xs = spec.mu.sample(spec.domain, DISTANCE_SAMPLE, rng)

@@ -2,8 +2,9 @@
 
 Registry names (exact strings): "constant", "separable-poly", "gauss-conv",
 "custom".  The first three are expressible in experiment configs; "custom"
-is library-level only (arbitrary callables).  All callables here are
-plain classes so problem specs stay picklable for worker pools.
+is library-level only (arbitrary callables).  The callables here are
+frozen dataclasses that keep their parameters as fields, which
+``exact_solution`` and the kernels' ``factors()`` read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _horner(x, coeffs: Sequence[float]):
 
 
 # ---------------------------------------------------------------------------
-# picklable callables
+# callables
 
 
 @dataclass(frozen=True)
@@ -247,17 +248,6 @@ class ScaledAbsPoly:
 
 
 @dataclass(frozen=True)
-class ProductFunc:
-    """x -> |f(x)| * g(x) pointwise (integrand envelopes)."""
-
-    f: object
-    g: object
-
-    def __call__(self, x):
-        return np.abs(np.asarray(self.f(x))) * np.asarray(self.g(x))
-
-
-@dataclass(frozen=True)
 class GeometricNorms:
     """Closed-form power norms r_m = head * c^(m-1)."""
 
@@ -347,7 +337,6 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
             forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
             kernel_dt=ConstantKernel(0.0) if domain.dim == 1 else None,
             envelope_R=ConstFunc(abs(gamma)),
-            envelope_Q=ProductFunc(forcing, ConstFunc(abs(gamma))),
             metric=Metric("holder", exponent=1.0, scale=0.0),
             analytic_norms=GeometricNorms(abs(gamma), abs(gamma), gamma * gamma, gamma * gamma),
             name=name,
@@ -375,7 +364,6 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
             forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
             kernel_dt=SeparablePolyKernel(a_deriv, b),  # dK/dt = a'(t) * b(s)
             envelope_R=ScaledAbsPoly(sup_a, b),
-            envelope_Q=ProductFunc(forcing, ScaledAbsPoly(sup_a, b)),
             metric=Metric("holder", exponent=1.0, scale=lip_a / sup_a),
             analytic_norms=GeometricNorms(sup_a * int_abs_b, abs(c_s),
                                           sup_a ** 2 * int_b2, c_u),
@@ -394,7 +382,6 @@ def build_problem(name: str, params: dict) -> ProblemSpec:
         forcing=forcing, forcing_dt=forcing_dt, f_norm=f_norm,
         kernel_dt=GaussConvKernelDt(scale, kappa, domain.bounds) if domain.dim == 1 else None,
         envelope_R=ConstFunc(abs(scale)),
-        envelope_Q=ProductFunc(forcing, ConstFunc(abs(scale))),
         metric=Metric("holder", exponent=1.0, scale=lip),
         name=name,
     )

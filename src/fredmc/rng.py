@@ -4,7 +4,7 @@ All Monte-Carlo draws in the package come from counter-based Philox
 generators keyed by ``(seed, tag, *path)`` through ``SeedSequence`` spawn
 keys.  A stream is fully determined by its key, never by how many draws
 some other stream consumed, so estimators stay bit-reproducible when the
-evaluation grid changes and when work is split across workers.
+evaluation grid changes and whatever order the streams are drawn in.
 """
 
 from __future__ import annotations

@@ -141,3 +141,18 @@ def test_allocation_json_roundtrip(tmp_path, quarter_pnt):
     assert data["cost_B"] == alloc.cost_B
     assert data["counts"] == list(alloc.counts)
     assert set(data) == {"n_total", "N", "theta", "counts", "cost_B", "phi_predicted"}
+
+
+def test_derivative_allocation_adds_a_term_at_the_same_budget(quarter_pnt):
+    # terms 1..N+1 from the kept r_m(U); with the table at N, r_(N+1) is
+    # min_k r_k r_(N+1-k) = 4^-3 for r_k = 4^-k
+    from fredmc.allocation import counts_from_weights, derivative_allocation
+    short = _pnt_from_ru([4.0 ** -m for m in range(1, 3)])
+    for pnt, r_u in ((quarter_pnt, quarter_pnt.r_U), (short, [0.25, 0.0625, 4.0 ** -3])):
+        alloc = fm.optimal_allocation(pnt, 2, 1000)
+        terms = derivative_allocation(alloc)
+        theta, counts, _ = counts_from_weights(np.asarray(r_u), 3, 1000)
+        assert (terms.N, terms.n_total) == (3, 1000)
+        assert np.array_equal(terms.counts, counts) and np.array_equal(terms.theta, theta)
+        assert terms.cost_B == int(np.sum(np.arange(1, 4) * counts))
+        assert terms.phi_predicted == pytest.approx(np.sum(np.asarray(r_u)[:3] / counts), rel=1e-12)

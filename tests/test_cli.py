@@ -278,6 +278,18 @@ def test_derivative_mode(tmp_path):
     assert all(abs(float(r["value"]) - 1.5) < 0.05 for r in rows)
 
 
+def test_derivative_mode_writes_the_allocation_it_runs(tmp_path):
+    # the engine runs N+1 terms; allocation.json gives them and their cost
+    path = _write_config(tmp_path, problem=GAUSS_PROBLEM, grid=21, budget=100_000, seed=3,
+                         out_dir=str(tmp_path / "der"))
+    assert main(["derivative", "--config", str(path)]) == 0
+    alloc = json.loads((tmp_path / "der" / "allocation.json").read_text())
+    rows = list(csv.DictReader(open(tmp_path / "der" / "estimate.csv")))
+    manifest = json.loads((tmp_path / "der" / "manifest.json").read_text())
+    assert alloc["N"] == manifest["summary"]["N"] + 1 == len(alloc["counts"])
+    assert alloc["cost_B"] == int(rows[0]["n_used"]) == 100_006
+
+
 def test_band_json_schema(tmp_path):
     path = _write_config(tmp_path, band_method="both", budget=5000,
                          out_dir=str(tmp_path / "bd"))

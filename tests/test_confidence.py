@@ -186,6 +186,21 @@ def test_entropy_array_matches_scalar_reference():
         assert isinstance(fm.entropy_H(domain, metric, float(eps[0])), float)
 
 
+@pytest.mark.parametrize("metric", [Metric("holder", 1.0, 1.0), Metric("holder", 0.7, 1.3),
+                                    Metric("log-power", 1.0, 1.0), Metric("log-power", 0.5, 2.0)])
+def test_entropy_at_the_metric_radius_counts_the_boxes(metric):
+    # H(at_radius(r)) = sum over axes of log ceil(L / (2 r)): at the counts'
+    # breakpoints r = L / (2 k) and between them
+    box = DomainSpec(2, ((0.0, 1.0), (-1.0, 2.0)), grid_points_per_dim=11)
+    ks = np.arange(1, 65)
+    rs = np.concatenate([1.0 / (2 * ks), 3.0 / (2 * ks), np.geomspace(1e-6, 0.3, 50)])
+    if metric.kind == "log-power":  # the map is flat at scale from r = 1/e on
+        rs = rs[rs < 0.3]
+    counts = np.ceil(box.lengths / (2.0 * rs[:, None]) - 1e-9)
+    h = fm.entropy_H(box, metric, metric.at_radius(rs))
+    assert np.allclose(h, np.log(counts).sum(axis=1), rtol=1e-12, atol=0)
+
+
 def test_entropy_rejects_custom_metric():
     unit = DomainSpec(1, ((0.0, 1.0),))
     with pytest.raises(ValueError, match="custom-table"):
@@ -602,6 +617,85 @@ def test_nonasymptotic_u_delta_inverts_tail_exactly(ts_spec, ts_pnt):
     assert log_tail(band.u_delta) <= math.log(delta) + 1e-12
     if band.u_delta != 2.0 * band.z_bar:
         assert log_tail(band.u_delta * (1.0 - 1e-9)) > math.log(delta)
+
+
+def _distance_at(metric, r):
+    # the declared radius map, written out: log-power stays at scale from r = 1 on
+    if metric.kind == "holder":
+        return metric.scale * r ** metric.exponent
+    return metric.scale * (min(abs(math.log(r)) ** -metric.exponent, 1.0) if r < 1.0 else 1.0)
+
+
+def _reference_majorant(psib, domain, metric, sigma, cells=100_000):
+    # sigma + 9 int v*(log 2N) dx over [sigma 1e-14, sigma] by a midpoint sum: cut where a
+    # per-axis count up to 64 changes (the integrand is constant between), and into
+    # `cells` log-spaced cells below, valued at their geometric midpoints
+    x_min = sigma * 1e-14
+    x_c = min(max(_distance_at(metric, max(domain.lengths) / 128), x_min), sigma)
+    cuts = np.array([_distance_at(metric, length / (2 * k))
+                     for length in domain.lengths for k in range(1, 65)])
+    coarse = np.unique(np.concatenate([[x_c, sigma], cuts[(cuts > x_c) & (cuts < sigma)]]))
+    edges = np.concatenate([np.geomspace(x_min, x_c, cells + 1)[:-1], coarse])
+    h = fm.entropy_H(domain, metric, np.sqrt(edges[:-1] * edges[1:]))
+    keep = h > 0
+    v = np.concatenate([fm.v_star(psib, x) for x in np.array_split(np.log(2) + h[keep], 20)])
+    return sigma + 9 * float(np.sum(v * np.diff(edges)[keep]))
+
+
+@pytest.fixture(scope="module")
+def solve_1d_psi(gauss_spec, gauss_pnt):
+    # the solution profile of the solve-1d run: gauss-conv at n = 1e6, epsilon 0.01
+    plan = fm.choose_truncation(gauss_pnt, gauss_spec.f_norm, 0.01)
+    return solution_psi(gauss_spec, fm.optimal_allocation(gauss_pnt, plan.N, 10 ** 6))[0]
+
+
+def _assert_upper_sum(psi, domain, metric, sigma):
+    # the band's Zbar bounds the entropy integral from above, by at most 2 %
+    z_bar = fm.nonasymptotic_band(psi, domain, metric, sigma, 0.05, 10 ** 6).z_bar
+    ref = _reference_majorant(psi_bar(psi), domain, metric, sigma)
+    assert ref <= z_bar <= 1.02 * ref
+
+
+_BOX = DomainSpec(2, ((0.0, 1.0), (-1.0, 2.0)), grid_points_per_dim=11)
+
+
+@pytest.mark.parametrize("domain, metric, sigma", [
+    (DomainSpec(1, ((0.0, 1.0),)), fm.fixture_gauss().metric, 1.0),
+    (DomainSpec(1, ((0.0, 1.0),)), fm.fixture_gauss().metric, 0.3),
+    (_BOX, Metric("holder", 0.7, 1.3), 1.0),
+    (DomainSpec(1, ((0.0, 1.0),)), Metric("log-power", 1.0, 1.0), 1.0),
+    (_BOX, Metric("log-power", 0.5, 2.0), 1.0),
+    (_BOX, Metric("log-power", 2.0, 1.0), 0.3),
+], ids=["solve-1d", "solve-1d-sigma-0.3", "holder-2d", "log-power-1d", "log-power-2d",
+        "log-power-2d-sigma-0.3"])
+def test_chaining_majorant_is_an_upper_sum(solve_1d_psi, domain, metric, sigma):
+    _assert_upper_sum(solve_1d_psi, domain, metric, sigma)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["holder", "log-power"]), scale=st.floats(0.1, 10.0),
+       exponent=st.floats(0.5, 2.0),
+       lengths=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=2))
+def test_chaining_majorant_is_an_upper_sum_on_random_metrics(solve_1d_psi, kind, scale,
+                                                             exponent, lengths):
+    # log-power exponents below 1/2 make the integrand steeper than x^-2 at the
+    # cut, where the 2560 log-spaced cells overshoot the integral by more than 1.3 %
+    domain = DomainSpec(len(lengths), tuple((0.0, length) for length in lengths),
+                        grid_points_per_dim=11)
+    _assert_upper_sum(solve_1d_psi, domain, Metric(kind, exponent, scale), 1.0)
+
+
+def test_integral_band_needs_only_the_envelope_r(ts_spec):
+    # a custom problem supplies R alone: the integral profile is that of
+    # Q = |f| R, here x * x on [0, 1], so psi(p) = 2 (2p + 1)^(-1/p)
+    spec = fm.ProblemSpec(domain=ts_spec.domain, mu=ts_spec.mu, kernel=ts_spec.kernel,
+                          forcing=ts_spec.forcing, envelope_R=lambda x: x[..., 0],
+                          metric=ts_spec.metric)
+    psi, sigma = integral_psi(spec)
+    ps = np.array([2.0, 8.0])
+    assert np.allclose(psi(ps), 2 * (2 * ps + 1) ** (-1 / ps), rtol=1e-3)
+    band = fm.nonasymptotic_band(psi, spec.domain, spec.metric, sigma, 0.05, 10_000)
+    assert np.isfinite(band.half_width) and band.z_bar > sigma
 
 
 def test_plugin_covariance_psd_at_small_jitter(ts_spec, ts_pnt):

@@ -331,6 +331,20 @@ def test_log_power_distance_formula():
     assert fm.natural_distance(spec_lp, 0.0, r) == pytest.approx(expected, rel=1e-12)
 
 
+def test_log_power_distance_is_the_bands_radius_map():
+    # on [0, 5] the distance grows with |t - s| and stays at scale beyond e,
+    # where |log|t - s|| exceeds 1 again: the map the band's entropy inverts
+    m = Metric("log-power", 1.0, 1.0)
+    spec = fm.fixture_ts()
+    spec_lp = fm.ProblemSpec(domain=DomainSpec(1, ((0.0, 5.0),)), mu=spec.mu, kernel=spec.kernel,
+                             forcing=spec.forcing, envelope_R=spec.envelope_R, metric=m)
+    rs = np.linspace(0.0, 5.0, 501)
+    d = np.array([fm.natural_distance(spec_lp, 0.0, r) for r in rs])
+    assert np.all(np.diff(d) >= 0.0)
+    assert np.all(d[rs > np.e] == m.scale)
+    assert np.array_equal(d, m.at_radius(rs))
+
+
 def _ks_distance(sample, cdf):
     xs = np.sort(sample)
     n = len(xs)
