@@ -33,7 +33,7 @@ from .confidence import (empirical_quantile, export_band_json, integral_psi, non
                          simulate_sup_quantile, solution_psi, tail_shape_report)
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
                      NotPSD, UnsupportedDerivative)
-from .estimator import (EstimateTable, derivative_solve, estimate_covariance,
+from .estimator import (EstimateTable, _fill_of, derivative_solve, estimate_covariance,
                         estimate_parametric_integral, solve_fredholm_mc, solve_geometric)
 from .neumann import choose_truncation, damped_solution_oracle
 from .problem import ProblemSpec, power_norms
@@ -182,6 +182,12 @@ class _TimesForcing:
 
     def __call__(self, x):
         return np.asarray(self.b(x)) * np.asarray(self.f(x))
+
+    def fill(self, x, w, out) -> None:
+        """out[...] = (B(x) * f(x)) * w, in the order of ``__call__``."""
+        _fill_of(self.b)(x, 1.0, out)
+        out *= np.asarray(self.f(x))
+        out *= w
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ from .problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTab
 from .rng import TAG_DERIVATIVE, TAG_GEOMETRIC, TAG_INTEGRAL, TAG_SOLVE, substream
 
 BLOCK_REPLICATES = 16384
+# chain-link evaluations per stacked kernel call: stacking saves the fixed
+# cost of one call per link, which dominates small blocks; on a full block
+# the copy into stacked pairs costs more than it saves
+_LINK_EVALS = 1 << 14
 _FD_STEP = 1e-5  # central-difference step for a missing forcing derivative
 
 
@@ -76,15 +80,19 @@ class TermMoments:
             return self.m2
         return (self.a @ self.m2) @ self.a.T
 
-    def merge_block(self, vals: np.ndarray, full: bool, mean_b=None) -> None:
+    def merge_block(self, vals: np.ndarray, full: bool, mean_b=None,
+                    gram_diag: bool = False) -> None:
         """Fold one (rows, block) slab of per-tuple values with row means
         ``mean_b`` (computed if None), centering it in place, into the running
-        moments by the pairwise update of Chan, Golub and LeVeque."""
+        moments by the pairwise update of Chan, Golub and LeVeque.  With
+        ``gram_diag`` (and ``full``) the block's diagonal is that of the
+        co-moment ``vals @ vals.T`` instead of its own pass over the rows,
+        so ``m2_diag`` stays the diagonal of ``m2`` bit for bit."""
         nb = vals.shape[1]
         mean_b = vals.mean(axis=1) if mean_b is None else mean_b
         vals -= mean_b[:, None]
-        diag_b = np.einsum("gi,gi->g", vals, vals)
         full_b = vals @ vals.T if full else None
+        diag_b = full_b.diagonal().copy() if full and gram_diag else np.einsum("gi,gi->g", vals, vals)
         if self.count == 0:
             self.count, self.mean, self.m2_diag, self.m2 = nb, mean_b, diag_b, full_b
             return
@@ -168,17 +176,28 @@ def tensor_integrand(spec: ProblemSpec, t, xs) -> float:
 
 
 def _chain_tail(kernel: Callable, forcing: Optional[Callable], xs: np.ndarray) -> np.ndarray:
-    """K(x1,x2)...K(x_{m-1},x_m) f(x_m) for xs of shape (n, m, dim); no f if forcing is None."""
-    c = np.ones(xs.shape[0])
-    for i in range(xs.shape[1] - 1):
-        c = c * np.asarray(kernel(xs[:, i, :], xs[:, i + 1, :]), dtype=float)
+    """K(x1,x2)...K(x_{m-1},x_m) f(x_m) for xs of shape (n, m, dim); no f if
+    forcing is None.  The links are evaluated on stacked (k, n) pair arrays,
+    k = _LINK_EVALS // n links per kernel call (all m-1 links of a short
+    block in one call, one link per call from n = _LINK_EVALS / 2 on), and
+    multiplied left to right."""
+    n, m = xs.shape[:2]
+    c = np.ones(n) if m == 1 else None
+    k = max(1, _LINK_EVALS // n)
+    for lo in range(0, m - 1, k):
+        pts = np.swapaxes(xs[:, lo:lo + k + 1], 0, 1)
+        if k > 1:
+            pts = np.ascontiguousarray(pts)
+        for link in np.asarray(kernel(pts[:-1], pts[1:]), dtype=float):
+            c = link.copy() if c is None else np.multiply(c, link, out=c)
     return c if forcing is None else c * np.asarray(forcing(xs[:, -1, :]), dtype=float)
 
 
 def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
                pts: Optional[np.ndarray]) -> None:
     """Fold one tile's block into ``tm``, naming the first non-finite value
-    (row-major; t and x, or x alone if pts is None) when a row mean is not."""
+    (row-major; t and x, or x alone if pts is None) when a row mean is not.
+    A factored block (pts None) takes its diagonal from its co-moment."""
     with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
         mean_b = vals.mean(axis=1)
     bad = () if np.all(np.isfinite(mean_b)) else np.argwhere(~np.isfinite(vals))
@@ -186,17 +205,28 @@ def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
         raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[bad[0, 1]]}")
     if len(bad):
         raise ValueError(f"non-finite integrand at t={pts[bad[0, 0]]}, x={xs[bad[0, 1]]}")
-    tm.merge_block(vals, full, mean_b)
+    tm.merge_block(vals, full, mean_b, gram_diag=pts is None)
+
+
+def _fill_of(b: Callable) -> Callable:
+    """``b.fill(x, w, out)``, which writes w * b(x) into the (r, n) array
+    ``out``, or for a b without one a multiply of b(x) into ``out``, which
+    only reads what b returns (it may be cached or read-only)."""
+    fill = getattr(b, "fill", None)
+    if fill is not None:
+        return fill
+    return lambda x, w, out: np.multiply(np.reshape(b(x), out.shape), w, out=out, dtype=float)
 
 
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
-    """(A(grid) of shape (G, r), B, eps) when the first factor takes the
+    """(A(grid) of shape (G, r), fill, eps) when the first factor takes the
     factored path, else None.  ``first.factors()`` returns (a, b) for an
     exact K(t, s) = sum_k a_k(t) b_k(s), or (a, b, eps) for an expansion
     within eps of K on the domain box, or None; a(t) has shape (G,) or
-    (G, r), b(s) shape (n,) or (r, n).  The path is taken while r <= G/2,
-    G the domain's grid size (so it does not depend on the points passed),
-    and an inexact expansion only on grids inside the box."""
+    (G, r), b(s) shape (n,) or (r, n), and ``fill`` is ``_fill_of(b)``.
+    The path is taken while r <= G/2, G the domain's grid size (so it does
+    not depend on the points passed), and an inexact expansion only on
+    grids inside the box."""
     fac = getattr(first, "factors", lambda: None)()
     if fac is None:
         return None
@@ -210,7 +240,7 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
     bad = ~np.all(np.isfinite(a_t), axis=1)
     if np.any(bad):
         raise ValueError(f"non-finite first factor at t={grid[np.argmax(bad)]}")
-    return a_t, b, eps
+    return a_t, _fill_of(b), eps
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
@@ -230,16 +260,16 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
 
     ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
     evaluates once for all its terms.  On the factored path (fac not None)
-    the same block loop, with the same draws in the same order, folds the
-    r-vector w = B(x1) * tail, one tile of r rows, and its r x r co-moment
-    M2_w: mean A mu_w and m2_diag rowwise(A M2_w A^T) are expanded over the
-    grid, M2_w is kept with A.  The diagonal of M2_w is the per-row one of
-    ``merge_block``, so r = 1 gives a * mu_w and a^2 * M2_w exactly.
+    the same block loop, with the same draws in the same order, fills the
+    r-vector w = B(x1) * tail straight into the slab, one tile of r rows,
+    and folds its r x r co-moment M2_w, whose diagonal is the block's own.
+    The mean A mu_w and m2_diag = rowwise((A M2_w) o A), one gemm, are
+    expanded over the grid; M2_w is kept with A.
     """
     if fac is None:
         rows, full = grid.shape[0], collect_cov
     else:
-        a_t, b, eps = fac
+        a_t, fill, eps = fac
         # a 1 x 1 co-moment is its diagonal; forming it per block costs a BLAS dot
         rows, full = a_t.shape[1], a_t.shape[1] > 1
     step = rows if full or fac is not None else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
@@ -247,24 +277,27 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     slab = np.empty(rows * min(count, BLOCK_REPLICATES)) if len(tiles) == 1 else None
     for done in range(0, count, BLOCK_REPLICATES):
         nb = min(BLOCK_REPLICATES, count - done)
+        # no view of the last block's draws outlives this rebinding, so they are freed here
         xs = mu.sample(domain, nb * m, rng).reshape(nb, m, domain.dim)
-        x1, tail_b = xs[:, 0, :], 1.0 if tail is None else tail(xs)
+        tail_b = 1.0 if tail is None else tail(xs)
         out = None if slab is None else slab[:rows * nb].reshape(rows, nb)
         for i, tm in enumerate(tiles):
             pts = grid[i * step:(i + 1) * step] if fac is None else None
-            _fold_tile(tm, np.multiply(first(pts[:, None, :], x1[None]) if fac is None else
-                                       np.reshape(b(x1), out.shape), tail_b, out=out, dtype=float),
-                       full, xs, pts)
+            if fac is None:
+                vals = np.multiply(first(pts[:, None, :], xs[None, :, 0, :]), tail_b, out=out, dtype=float)
+            else:
+                vals = out
+                fill(xs[:, 0, :], tail_b, out)
+            _fold_tile(tm, vals, full, xs, pts)
     tm = TermMoments(m=m, theta=theta, count=count, m2=tiles[0].m2,
                      mean=np.concatenate([t.mean for t in tiles]),
                      m2_diag=np.concatenate([t.m2_diag for t in tiles]))
     if fac is None:
         return tm
     m2 = np.diag(tm.m2_diag) if tm.m2 is None else tm.m2
-    np.fill_diagonal(m2, tm.m2_diag)
     return TermMoments(m=m, theta=theta, count=tm.count,
                        mean=np.einsum("gk,k->g", a_t, tm.mean),
-                       m2_diag=np.einsum("gj,gk,jk->g", a_t, a_t, m2),
+                       m2_diag=np.einsum("gk,gk->g", a_t @ m2, a_t),
                        m2=m2 if collect_cov else None, a=a_t, eps_k=eps)
 
 

@@ -23,12 +23,12 @@ from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec, gauss_lege
 KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
 
 
-def _horner(x, coeffs: Sequence[float]):
+def _horner(x, coeffs: Sequence[float], out=None):
     """``P.polyval(x, coeffs)`` for float coefficients (low->high), evaluated
-    in one output array: numpy's Horner steps c0 = c[-1] + x * 0, then
-    c0 = c[k] + c0 * x, in the same order and hence to the same bits, but
-    without a new array per coefficient."""
-    out = np.multiply(x, 0.0, dtype=float)
+    in one output array (``out`` if given): numpy's Horner steps
+    c0 = c[-1] + x * 0, then c0 = c[k] + c0 * x, in the same order and hence
+    to the same bits, but without a new array per coefficient."""
+    out = np.multiply(x, 0.0, out=out, dtype=float)
     out += coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= x
@@ -182,6 +182,8 @@ class GaussTaylorFactor:
     side "t" gives scale (2 kappa)^|alpha| / alpha! e^(-kappa |u|^2) u^alpha,
     shape (..., r); side "dt" (1-D) gives the t-derivative of side "t".
     Rows come from the recurrence P_alpha+e_i = P_alpha * u_i, not powers.
+    Side "s" also fills w * B(x) into a given (r, ...) array, w folded into
+    the exponential row before the recurrence.
     """
 
     kappa: float
@@ -190,12 +192,14 @@ class GaussTaylorFactor:
     side: str
     scale: float = 1.0
 
-    def _rows(self, x, p: int, weighted: bool) -> np.ndarray:
+    def _rows(self, x, p: int, weighted: bool, out=None, w=None) -> np.ndarray:
         u = np.asarray(x, dtype=float) - np.asarray(self.centre)
         cols = [np.ascontiguousarray(u[..., i]) for i in range(u.shape[-1])]
         steps = _monomial_steps(len(cols), p)
-        rows = np.empty((len(steps) + 1,) + u.shape[:-1])
-        rows[0] = np.exp(-self.kappa * np.sum(u * u, axis=-1))
+        rows = np.empty((len(steps) + 1,) + u.shape[:-1]) if out is None else out
+        np.exp(-self.kappa * np.sum(u * u, axis=-1), out=rows[0])
+        if w is not None:
+            rows[0] *= w
         for k, (parent, axis, power) in enumerate(steps, 1):
             np.multiply(rows[parent], cols[axis], out=rows[k])
             if weighted:
@@ -214,6 +218,10 @@ class GaussTaylorFactor:
             q[1:] += 2.0 * self.kappa * full[:-2]
         return np.moveaxis(self.scale * q, 0, -1)
 
+    def fill(self, x, w, out) -> None:
+        """out[...] = w * B(x), out of shape (r, n); side "s" only."""
+        self._rows(x, self.p, False, out, w)
+
 
 @dataclass(frozen=True)
 class PolyFunc:
@@ -225,6 +233,11 @@ class PolyFunc:
         x = np.asarray(x)
         return _horner(x[..., 0], self.coeffs)
 
+    def fill(self, x, w, out) -> None:
+        """out[...] = poly(x) * w, Horner run in ``out``."""
+        _horner(np.asarray(x)[..., 0], self.coeffs, out=out)
+        out *= w
+
 
 @dataclass(frozen=True)
 class ConstFunc:
@@ -233,6 +246,10 @@ class ConstFunc:
     def __call__(self, x):
         x = np.asarray(x)
         return np.full(x.shape[:-1], self.value)
+
+    def fill(self, x, w, out) -> None:
+        """out[...] = value * w."""
+        np.multiply(w, self.value, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredmc as fm
-from fredmc.cli import KernelTimesForcing
-from fredmc.estimator import BLOCK_REPLICATES
+from fredmc.cli import KernelTimesForcing, _TimesForcing
+from fredmc.estimator import BLOCK_REPLICATES, _chain_tail, _first_factors, _run_term
 from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
-from fredmc.registry import _taylor_rest
+from fredmc.registry import ConstFunc, PolyFunc, _taylor_rest
+from fredmc.rng import TAG_SOLVE, substream
 
 
 def _plan(N, eps=0.01):
@@ -499,6 +505,105 @@ def test_runner_only_reads_the_kernel_arrays(ts_spec, ts_pnt):
     for a, b in pairs:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.pointwise_var, b.pointwise_var)
+
+
+def _fill_case(name):
+    """(t-free factor b, points x of shape (n, dim)) of one fill case."""
+    x = np.random.default_rng(4).random((1000, 2))
+    gauss1 = fm.fixture_gauss().kernel.factors()[1]
+    gauss2 = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0,
+                                             "bounds": [[0, 1], [0, 1]]}).kernel.factors()[1]
+    poly, const = PolyFunc((0.5, -1.25, 3.0)), ConstFunc(0.3)
+    return {"poly": (poly, x[:, :1]), "const": (const, x), "gauss-1d": (gauss1, x[:, :1]),
+            "gauss-2d": (gauss2, x), "times-forcing-poly": (_TimesForcing(poly, PolyFunc((1.0, -0.8))), x[:, :1]),
+            "times-forcing-const": (_TimesForcing(const, ConstFunc(2.5)), x),
+            "times-forcing-gauss": (_TimesForcing(gauss1, PolyFunc((1.0, -0.8))), x[:, :1])}[name]
+
+
+@pytest.mark.parametrize("name", ["poly", "const", "gauss-1d", "gauss-2d", "times-forcing-poly",
+                                  "times-forcing-const", "times-forcing-gauss"])
+def test_fill_writes_the_product_it_replaces(name):
+    # fill(x, w, out) writes w * b(x) into the runner's (r, n) slab: bit for
+    # bit for the polynomial, constant and forcing-weighted factors; the
+    # Taylor factor folds w into its exponential row before the monomial
+    # recurrence, so each entry moves by a few roundings at most
+    b, x = _fill_case(name)
+    ref_b = np.asarray(b(x), dtype=float)
+    r = 1 if ref_b.ndim == 1 else ref_b.shape[0]
+    for w in (1.0, np.random.default_rng(5).normal(size=len(x))):
+        ref = np.multiply(ref_b.reshape(r, -1), w)
+        out = np.full((r, len(x)), np.nan)
+        b.fill(x, w, out)
+        if name.startswith("gauss"):
+            np.testing.assert_allclose(out, ref, rtol=4 * r * np.finfo(float).eps, atol=0.0)
+        else:
+            assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("n, calls", [(1000, [11]), (3000, [5, 5, 1]), (BLOCK_REPLICATES, [1] * 11)])
+def test_chain_tail_stacks_its_links_with_the_bits_of_a_link_loop(ts_spec, gauss_spec, n, calls):
+    # the 11 links of a 12-point chain on stacked pair arrays, at most
+    # _LINK_EVALS pairs per kernel call (one call for a short block),
+    # multiplied left to right: the bits of one call per link
+    xs = np.random.default_rng(6).random((n, 12, 1))
+    for spec in (ts_spec, gauss_spec):
+        shapes = []
+
+        def kernel(t, s):
+            shapes.append(np.shape(t))
+            return spec.kernel(t, s)
+
+        c = np.ones(n)
+        for i in range(11):
+            c = c * spec.kernel(xs[:, i, :], xs[:, i + 1, :])
+        for forcing, ref in ((None, c), (spec.forcing, c * spec.forcing(xs[:, -1, :]))):
+            shapes.clear()
+            assert np.array_equal(_chain_tail(kernel, forcing, xs), ref)
+            assert shapes == [(k, n, 1) for k in calls]
+        assert np.array_equal(_chain_tail(kernel, spec.forcing, xs[:, :1]), spec.forcing(xs[:, 0, :]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_factored_term_holds_one_slab(gauss_spec, m):
+    # rank 20 at 16384-tuple blocks: w * B(x1) is filled into the runner's
+    # r x block slab, so the traced peak stays below two slabs (a fresh
+    # B(x1) array beside the slab was two slabs on its own)
+    grid = gauss_spec.domain.grid()
+    fac = _first_factors(gauss_spec.kernel, grid, gauss_spec.domain)
+    r = fac[0].shape[1]
+    assert r == 20
+    tail = lambda xs: _chain_tail(gauss_spec.kernel, gauss_spec.forcing, xs)  # noqa: E731
+    rng = substream(0, TAG_SOLVE, m)
+    tracemalloc.start()
+    try:
+        _run_term(2 * BLOCK_REPLICATES, m, grid, rng, gauss_spec.mu, gauss_spec.domain,
+                  gauss_spec.kernel, fac, tail, 1.0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * r * BLOCK_REPLICATES
+
+
+def test_factored_2d_estimate_bits_do_not_depend_on_blas_threads(tmp_path):
+    # 2-D gauss-conv on the 41^2 grid takes the factored path with r = 351:
+    # the block Gram (r x r) and the expansion's (G x r)(r x r) product are
+    # above OpenBLAS's one-thread cutoff, and estimate.csv keeps its bytes
+    src = str(Path(fm.__file__).resolve().parents[1])
+    cfg = {"problem": {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]]},
+           "grid": 41, "budget": 30_000, "seed": 8}
+
+    def run(threads):
+        out = tmp_path / f"threads-{threads}"
+        path = tmp_path / f"cfg-{threads}.json"
+        path.write_text(json.dumps({**cfg, "out_dir": str(out)}))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-m", "fredmc", "solve", "--config", str(path)], env=env,
+                       capture_output=True, text=True, check=True, timeout=300)
+        assert json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]["rank"] == 351
+        return (out / "estimate.csv").read_bytes()
+
+    assert run(1) == run(2)
 
 
 @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
