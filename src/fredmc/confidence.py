@@ -42,6 +42,8 @@ _ONE_THREAD_GEMM = 2 ** 18  # OpenBLAS runs a gemm with m * n * k up to this on 
 _NEG_EIG_TOL = 1e-6     # covariance eigenvalues below -tol * trace raise NotPSD
 _TRACE_CUT = 1e-12      # trace share of the smallest eigenpairs left out of the simulation
 _W_CONVEXITY_TOL = -1e-9
+_V_STAR_CHUNK = 128     # x values per v* evaluation: a chunk's (x, knot) arrays stay near 100 kB
+_PSI_ROWS = 8           # p rows per block of the moment profile's p x nodes power table
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ class ConfidenceBand:
     z_bar: Optional[float] = None
     q: Optional[int] = None                 # gauss-sim: eigenpairs simulated
     dropped_trace: Optional[float] = None   # gauss-sim: clipped plus cut mass / trace
+    psi_kind: Optional[str] = None          # nonasymptotic-psi: the profile's PsiFunction.kind
+    psi_support: Optional[tuple[float, float]] = None  # nonasymptotic-psi: its [p_min, p_max]
 
     def to_dict(self, n: Optional[int] = None, kappa_fit: Optional[float] = None,
                 C_fit: Optional[float] = None) -> dict:
@@ -110,6 +114,9 @@ class ConfidenceBand:
         }
         if self.z_bar is not None:
             out["z_bar"] = float(self.z_bar)
+        if self.psi_kind is not None:
+            out["psi_kind"] = self.psi_kind
+            out["psi_support"] = [float(p) for p in self.psi_support]
         if self.q is not None:
             out["q"] = int(self.q)
             out["dropped_trace"] = float(self.dropped_trace)
@@ -142,7 +149,10 @@ def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
     if not np.isfinite(rmax) or rmax <= 0:
         raise ValueError("envelope must be positive somewhere and finite at quadrature nodes")
     ratios = R / rmax
-    vals = rmax * np.mean(ratios[None, :] ** p_grid[:, None], axis=1) ** (1.0 / p_grid)
+    vals = np.empty(len(p_grid))
+    for i in range(0, len(p_grid), _PSI_ROWS):  # a few p rows at a time: no p x nodes table
+        p = p_grid[i:i + _PSI_ROWS]
+        vals[i:i + len(p)] = rmax * np.mean(ratios[None, :] ** p[:, None], axis=1) ** (1.0 / p)
     finite = np.isfinite(vals)
     if not finite.all():
         last = int(np.argmin(finite))
@@ -178,21 +188,25 @@ def v_star(psi: PsiFunction, x):
     with stationary point y = s_k / x when s_k > 0 and is minimized at a
     knot otherwise.  The infimum is the least of the knot values and the
     convex pieces' stationary points clipped to their piece.  Accepts an
-    array of x; a scalar x gives a float.
+    array of x; a scalar x gives a float.  The x values are taken
+    _V_STAR_CHUNK at a time, so no (x, knot) array grows with x.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # also refuses NaN
         raise ValueError("x must be >= 0")
     log_p, log_v = np.log(psi.p), np.log(psi.values)
     s = np.diff(log_v) / np.diff(log_p)
     k = np.flatnonzero(s > 0)
-    xs = x[..., None]
-    with np.errstate(divide="ignore"):  # x = 0: stationary point at infinity, clipped to the knot
-        y = np.clip(s[k] / xs, 1.0 / psi.p[k + 1], 1.0 / psi.p[k])
-    at_knots = np.min(xs / psi.p + log_v, axis=-1)
-    inside = xs * y + log_v[k] - s[k] * (np.log(y) + log_p[k])
-    out = np.minimum(at_knots, np.min(inside, axis=-1, initial=np.inf))
-    return float(out) if out.ndim == 0 else out
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, _V_STAR_CHUNK):
+        xs = flat[i:i + _V_STAR_CHUNK, None]
+        with np.errstate(divide="ignore"):  # x = 0: stationary point at infinity, clipped to the knot
+            y = np.clip(s[k] / xs, 1.0 / psi.p[k + 1], 1.0 / psi.p[k])
+        at_knots = np.min(xs / psi.p + log_v, axis=-1)
+        inside = xs * y + log_v[k] - s[k] * (np.log(y) + log_p[k])
+        np.minimum(at_knots, np.min(inside, axis=-1, initial=np.inf), out=out[i:i + len(xs)])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def entropy_H(domain: DomainSpec, metric: Metric, eps):
@@ -201,7 +215,7 @@ def entropy_H(domain: DomainSpec, metric: Metric, eps):
     radius of an eps-ball, ``metric.log_radius(eps)``.  Accepts an array
     of eps; a scalar eps gives a float."""
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
+    if not np.all(eps > 0):  # also refuses NaN
         raise ValueError("eps must be positive")
     if metric.kind == "custom-table":
         raise ValueError("entropy for custom-table metrics is not defined; declare holder/log-power")
@@ -398,7 +412,8 @@ def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
         raise BandTooWide(f"tail stays above delta={delta} up to u = 1e3 * Zbar (Zbar={z_bar:.4g})")
     return ConfidenceBand(delta=delta, u_delta=float(u),
                           half_width=float(u) / math.sqrt(n),
-                          method="nonasymptotic-psi", z_bar=float(z_bar))
+                          method="nonasymptotic-psi", z_bar=float(z_bar),
+                          psi_kind=psi.kind, psi_support=psi.support)
 
 
 # ---------------------------------------------------------------------------

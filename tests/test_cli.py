@@ -396,6 +396,30 @@ def test_covariance_export(tmp_path):
     assert len(lines[1].split(",")) == 11
 
 
+@pytest.mark.parametrize("mode, refuse_sum, kind", [
+    ("solve", False, "solution-profile"),
+    ("solve", True, "solution-profile-envelope"),
+    ("integrate", False, "integral-profile"),
+], ids=["solution", "envelope-fallback", "integral"])
+def test_band_json_names_the_psi_profile(tmp_path, monkeypatch, mode, refuse_sum, kind):
+    # band.json's psi entry records which profile the band was inverted from and
+    # its p support, the silent envelope fallback of solution_psi included
+    real = fredmc.confidence.PsiFunction
+
+    def psi_function(**fields):
+        if refuse_sum and fields["kind"] == "solution-profile":
+            raise ValueError("p * log psi(p) is not convex on the tabulation")
+        return real(**fields)
+
+    monkeypatch.setattr(fredmc.confidence, "PsiFunction", psi_function)
+    path = _write_config(tmp_path, mode=mode, band_method="nonasymptotic-psi",
+                         out_dir=str(tmp_path / "psi"))
+    assert main([mode, "--config", str(path)]) == 0
+    band = json.loads((tmp_path / "psi" / "band.json").read_text())
+    assert band["psi_kind"] == kind
+    assert band["psi_support"] == [2.0, 512.0]
+
+
 def test_tail_report_in_band_json(tmp_path):
     path = _write_config(tmp_path, tail_report=True, n_sim=100_000,
                          out_dir=str(tmp_path / "tr"))

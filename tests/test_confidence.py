@@ -40,6 +40,21 @@ def test_natural_psi_linear_envelope(ts_spec):
     assert psi(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("bounds", [[[0, 1]], [[0, 1], [0, 1]]], ids=["1d", "2d"])
+def test_natural_psi_in_row_blocks_keeps_the_bits_of_one_table(bounds):
+    # the profile is formed a few p rows at a time; each row is the one-shot table's
+    spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": bounds})
+    p_grid = confidence.default_p_grid()
+    nodes, _ = spec.mu.quad_nodes(spec.domain, 2048 if spec.domain.dim == 1 else 64)
+    R = np.abs(np.asarray(spec.envelope_R(nodes), dtype=float))
+    rmax = float(R.max())
+    ref = rmax * np.mean((R / rmax)[None, :] ** p_grid[:, None], axis=1) ** (1.0 / p_grid)
+    assert len(p_grid) % confidence._PSI_ROWS == 0 and len(p_grid) > confidence._PSI_ROWS
+    assert np.array_equal(fm.natural_psi_from_R(spec, p_grid).values, ref)
+    odd = p_grid[:confidence._PSI_ROWS + 3]  # a last block shorter than the others
+    assert np.array_equal(fm.natural_psi_from_R(spec, odd).values, ref[:len(odd)])
+
+
 def test_psi_requires_convex_w():
     p = np.array([2.0, 4.0, 8.0])
     with pytest.raises(ValueError, match="not convex"):
@@ -117,6 +132,29 @@ def test_v_star_is_exact_on_solution_profile(ts_spec, ts_pnt):
 def test_v_star_rejects_negative():
     with pytest.raises(ValueError):
         fm.v_star(_sqrt_psi(), -1.0)
+
+
+def test_v_star_rejects_nan():
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        fm.v_star(_sqrt_psi(), math.nan)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        fm.v_star(_sqrt_psi(), np.array([1.0, math.nan, 2.0]))
+
+
+_CHUNK = confidence._V_STAR_CHUNK
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2600,),
+                                   (3, _CHUNK // 2 + 5)])
+def test_v_star_in_chunks_keeps_the_bits_of_scalar_calls(ts_spec, ts_pnt, shape):
+    # arrays that cross chunk edges: each x keeps the bits of its own call, x its shape
+    psib = psi_bar(solution_psi(ts_spec, fm.optimal_allocation(ts_pnt, 4, 10 ** 6))[0])
+    x = np.random.default_rng(21).uniform(0.0, 60.0, shape)
+    x.flat[::7] = 0.0
+    v = fm.v_star(psib, x)
+    assert v.shape == x.shape
+    ref = np.array([fm.v_star(psib, float(e)) for e in x.ravel()]).reshape(shape)
+    assert v.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +237,14 @@ def test_entropy_at_the_metric_radius_counts_the_boxes(metric):
     counts = np.ceil(box.lengths / (2.0 * rs[:, None]) - 1e-9)
     h = fm.entropy_H(box, metric, metric.at_radius(rs))
     assert np.allclose(h, np.log(counts).sum(axis=1), rtol=1e-12, atol=0)
+
+
+def test_entropy_rejects_nan():
+    unit = DomainSpec(1, ((0.0, 1.0),))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        fm.entropy_H(unit, Metric("holder", 1.0, 1.0), math.nan)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        fm.entropy_H(unit, Metric("log-power", 1.0, 1.0), np.array([0.1, math.nan]))
 
 
 def test_entropy_rejects_custom_metric():
@@ -670,6 +716,23 @@ _BOX = DomainSpec(2, ((0.0, 1.0), (-1.0, 2.0)), grid_points_per_dim=11)
         "log-power-2d-sigma-0.3"])
 def test_chaining_majorant_is_an_upper_sum(solve_1d_psi, domain, metric, sigma):
     _assert_upper_sum(solve_1d_psi, domain, metric, sigma)
+
+
+def test_psi_band_holds_no_knot_table(gauss_spec, gauss_pnt):
+    # the solve-1d profile and band: one-shot, the p x nodes power table (1.8 MB)
+    # and the v* cells x knots arrays (8.2 MB) set the traced peak; in chunks it
+    # stays below 1 MB
+    plan = fm.choose_truncation(gauss_pnt, gauss_spec.f_norm, 0.01)
+    alloc = fm.optimal_allocation(gauss_pnt, plan.N, 10 ** 6)
+    tracemalloc.start()
+    try:
+        psi, sigma = solution_psi(gauss_spec, alloc)
+        band = fm.nonasymptotic_band(psi, gauss_spec.domain, gauss_spec.metric, sigma, 0.05, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.z_bar > sigma
+    assert peak < 1e6
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)
