@@ -14,10 +14,11 @@ One runner, ``_run_term``, draws the tuples, evaluates that product in
 grid row tiles and folds the block moments; its callers (the engines and
 the MC power norms) pick the factor, substreams and counts.
 A first factor with ``factors()``, meaning K(t, s) = sum_k A_k(t) B_k(s)
-(exact for constant and separable-poly kernels, a Taylor expansion with a
-closed-form remainder bound for gauss-conv), makes the field A(t) w with
-one r-vector w = B(x1) * tail per tuple: the runner folds the moments of
-w and expands them over the grid, so no grid x tuple array is built.
+(exact for constant and separable-poly kernels, a truncated Chebyshev
+series with a closed-form remainder bound for gauss-conv), makes the
+field A(t) w with one r-vector w = B(x1) * tail per tuple: the runner
+folds the moments of w and expands them over the grid, so no grid x
+tuple array is built.
 
 Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never

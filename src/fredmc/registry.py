@@ -77,11 +77,13 @@ class GaussConvKernel:
     """K(t, s) = scale * exp(-kappa * |t - s|^2).
 
     With ``box`` (the domain bounds, set by ``build_problem``), ``factors()``
-    returns the truncated Taylor expansion of exp(2 kappa u.v), u = t - c,
-    v = s - c about the box centre c (the improved fast Gauss transform
-    expansion): (A, B, eps) with |K - sum_k A_k B_k| <= eps for t, s in
-    the box, eps = |scale| x^p / p! e^x, x = 2 kappa h^2, h the box's
-    half-diagonal, and p the smallest degree giving eps <= 1e-17 |scale|.
+    returns the truncated Chebyshev series of exp(y), y = 2 kappa u.v,
+    u = t - c, v = s - c about the box centre c, written in the monomials
+    of the fast Gauss transform expansion: (A, B, eps) with
+    |K - sum_k A_k B_k| <= eps for t, s in the box, where x = 2 kappa h^2
+    (h the box's half-diagonal) bounds |y|,
+    eps = |scale| sum_{n >= p} 2 I_n(x) <= |scale| _cheb_rest(x, p),
+    and p is the smallest degree giving eps <= 1e-17 |scale|.
     """
 
     scale: float
@@ -98,14 +100,14 @@ class GaussConvKernel:
         return self.scale * np.exp(d2)
 
     def factors(self):
-        return _gauss_factors(self, lambda x, h, p: _taylor_rest(x, p), "t")
+        return _gauss_factors(self, lambda x, h, p: _cheb_rest(x, p), "t")
 
 
 @dataclass(frozen=True)
 class GaussConvKernelDt:
     """dK/dt of the 1-D gauss-conv kernel; ``factors()`` returns (A', B, eps)
     with A' the t-derivative of GaussConvKernel's A and
-    eps = |scale| 2 kappa h (x^p / p! + x^(p-1) / (p-1)!) e^x."""
+    eps = |scale| 2 kappa h (_cheb_rest(x, p) + _cheb_rest_dt(x, p))."""
 
     scale: float
     kappa: float
@@ -118,19 +120,94 @@ class GaussConvKernelDt:
 
     def factors(self):
         return _gauss_factors(self, lambda x, h, p: 2.0 * self.kappa * h * (
-            _taylor_rest(x, p) + _taylor_rest(x, p - 1)), "dt")
+            _cheb_rest(x, p) + _cheb_rest_dt(x, p)), "dt")
 
 
 # ---------------------------------------------------------------------------
-# Taylor factors of the gauss-conv kernel
+# Chebyshev factors of the gauss-conv kernel
+#
+# exp(y) = sum_n a_n T_n(y / x) on [-x, x] with a_0 = I_0(x), a_n = 2 I_n(x)
+# (I_n the modified Bessel functions).  The truncation P = sum_{n<p} a_n T_n
+# is the polynomial sum_{k<p} c_k y^k, so K_p(t, s) = scale e^(-kappa |u|^2)
+# e^(-kappa |v|^2) P(2 kappa u.v) is the Taylor form of the fast Gauss
+# transform with each degree-k term weighted by gamma_k = k! c_k.  Since
+# e^(-kappa |u|^2), e^(-kappa |v|^2) <= 1 and |T_n| <= 1, |T_n'| <= n^2:
+#   |K - K_p| <= |scale| sum_{n >= p} 2 I_n(x),
+#   |dK/dt - dK_p/dt| <= |scale| 2 kappa h (sum_{n >= p} 2 I_n(x)
+#                                           + x^-1 sum_{n >= p} 2 n^2 I_n(x)).
+# Both tails are bounded in closed form from I_n(x) <= (x/2)^n / n!
+# e^(x^2 / (4 (n + 1))) and a geometric series in n.
 
-_TAYLOR_TOL = 1e-17      # remainder bound relative to |scale|
-_TAYLOR_MAX_RANK = 512   # no expansion with more features is offered
+_GAUSS_TOL = 1e-17       # remainder bound relative to |scale|
+_GAUSS_MAX_RANK = 512    # no expansion with more features is offered
+# nor one with a weight |gamma_k| above this: the degree-k terms without
+# their weights sum in absolute value to at most 1, so the float64 sum of
+# the r products rounds at most this many times worse than with unit
+# weights.  The weights grow with x (about 3.7 at x = 16, 15 at x = 24,
+# 900 at x = 40), so past x of about 24.4 the exact general path runs.
+_GAUSS_MAX_WEIGHT = 16.0
 
 
-def _taylor_rest(x: float, p: int) -> float:
-    """x^p / p! * e^x: the Lagrange bound on sum_{k >= p} y^k / k! for |y| <= x."""
-    return math.exp(p * math.log(x) - math.lgamma(p + 1) + x)
+def _cheb_head(x: float, p: int) -> float:
+    """2 (x/2)^p / p! e^(x^2 / (4 (p + 1))): the bound on 2 I_p(x)."""
+    return 2.0 * math.exp(p * math.log(x / 2.0) - math.lgamma(p + 1) + x * x / (4.0 * (p + 1)))
+
+
+def _cheb_rest(x: float, p: int) -> float:
+    """Closed-form bound on sum_{n >= p} 2 I_n(x): successive terms of the
+    bound fall by at least q = x / (2 (p + 1)); inf when q >= 1."""
+    q = x / (2.0 * (p + 1))
+    return _cheb_head(x, p) / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _cheb_rest_dt(x: float, p: int) -> float:
+    """Closed-form bound on x^-1 sum_{n >= p} 2 n^2 I_n(x): successive terms
+    fall by at least q = (p + 1) x / (2 p^2); inf when q >= 1."""
+    q = (p + 1) * x / (2.0 * p * p)
+    return p * p / x * _cheb_head(x, p) / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _bessel_i(n: int, x: float) -> float:
+    """I_n(x) = sum_m (x/2)^(2m+n) / (m! (m+n)!), summed until the terms,
+    all positive and eventually falling, stop changing the sum."""
+    term = math.exp(n * math.log(x / 2.0) - math.lgamma(n + 1))
+    total, m = term, 0
+    while True:
+        m += 1
+        term *= (x / 2.0) ** 2 / (m * (m + n))
+        if term <= total * 1e-18 and m > x:
+            return total + term
+        total += term
+
+
+def _cheb_next(prev: list[int], cur: list[int]) -> list[int]:
+    """T_(n+1) = 2 y T_n - T_(n-1), on integer coefficient lists (low->high)."""
+    nxt = [0] + [2 * c for c in cur]
+    for k, c in enumerate(prev):
+        nxt[k] -= c
+    return nxt
+
+
+@functools.lru_cache(maxsize=256)
+def _cheb_gamma(x: float, p: int) -> tuple[float, ...]:
+    """gamma_k = k! c_k, k < p, for the truncation P = sum_{n<p} a_n T_n(y/x)
+    = sum_k c_k y^k of exp(y).  The full series has c_k = 1/k!, so
+    c_k = 1/k! - sum_{n >= p} a_n [T_n]_k / x^k: the fast-falling tail,
+    with the integer coefficients [T_n]_k exact, never cancels the large
+    coefficients of the head.  Tail terms are added until two in a row
+    (one of each parity of n) move no gamma_k by 1e-20."""
+    fact_over = [math.exp(math.lgamma(k + 1) - k * math.log(x)) for k in range(p)]
+    prev, cur = [1], [0, 1]
+    for _ in range(1, p):
+        prev, cur = cur, _cheb_next(prev, cur)
+    gamma, n, small = [1.0] * p, p, 0
+    while small < 2:
+        a_n = 2.0 * _bessel_i(n, x)
+        moves = [a_n * cur[k] * fact_over[k] for k in range(p)]
+        gamma = [g - d for g, d in zip(gamma, moves)]
+        small = small + 1 if max(map(abs, moves)) < 1e-20 else 0
+        prev, cur, n = cur, _cheb_next(prev, cur), n + 1
+    return tuple(gamma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +233,8 @@ def _monomial_steps(dim: int, p: int) -> tuple[tuple[int, int, int], ...]:
 
 def _gauss_factors(kernel, rest, side: str):
     """(A, B, eps) for a gauss-conv kernel or its t-derivative, or None when
-    the kernel has no box or needs more than _TAYLOR_MAX_RANK features."""
+    the kernel has no box, needs more than _GAUSS_MAX_RANK features or has
+    a weight above _GAUSS_MAX_WEIGHT."""
     if kernel.box is None:
         return None
     lows, highs = np.array(kernel.box, dtype=float).T
@@ -164,26 +242,31 @@ def _gauss_factors(kernel, rest, side: str):
     h = float(np.sqrt(np.sum(((highs - lows) / 2.0) ** 2)))
     x = 2.0 * kernel.kappa * h * h
     p = 1
-    while rest(x, h, p) > _TAYLOR_TOL:
+    while rest(x, h, p) > _GAUSS_TOL:
         p += 1
-        if math.comb(p - 1 + len(centre), len(centre)) > _TAYLOR_MAX_RANK:
+        if math.comb(p - 1 + len(centre), len(centre)) > _GAUSS_MAX_RANK:
             return None
-    return (GaussTaylorFactor(kernel.kappa, centre, p, side, kernel.scale),
-            GaussTaylorFactor(kernel.kappa, centre, p, "s"),
+    gamma = _cheb_gamma(x, p)
+    if max(map(abs, gamma)) > _GAUSS_MAX_WEIGHT:
+        return None
+    return (GaussFactor(kernel.kappa, centre, p, side, kernel.scale, gamma),
+            GaussFactor(kernel.kappa, centre, p, "s"),
             abs(kernel.scale) * rest(x, h, p))
 
 
 @dataclass(frozen=True)
-class GaussTaylorFactor:
+class GaussFactor:
     """One side of K_p(t, s) = scale e^(-kappa |u|^2) e^(-kappa |v|^2)
-    sum_{|alpha| < p} (2 kappa)^|alpha| / alpha! u^alpha v^alpha.
+    sum_{|alpha| < p} gamma_|alpha| (2 kappa)^|alpha| / alpha! u^alpha v^alpha.
 
     Side "s" gives the monomials e^(-kappa |v|^2) v^alpha, shape (r, ...);
-    side "t" gives scale (2 kappa)^|alpha| / alpha! e^(-kappa |u|^2) u^alpha,
-    shape (..., r); side "dt" (1-D) gives the t-derivative of side "t".
-    Rows come from the recurrence P_alpha+e_i = P_alpha * u_i, not powers.
-    Side "s" also fills w * B(x) into a given (r, ...) array, w folded into
-    the exponential row before the recurrence.
+    side "t" gives scale gamma_|alpha| (2 kappa)^|alpha| / alpha!
+    e^(-kappa |u|^2) u^alpha, shape (..., r); side "dt" (1-D) gives the
+    t-derivative of side "t".  ``gamma`` (p weights, sides "t" and "dt")
+    comes from ``_cheb_gamma``.  Rows come from the recurrence
+    P_alpha+e_i = P_alpha * u_i, not powers.  Side "s" also fills w * B(x)
+    into a given (r, ...) array, w folded into the exponential row before
+    the recurrence.
     """
 
     kappa: float
@@ -191,6 +274,7 @@ class GaussTaylorFactor:
     p: int
     side: str
     scale: float = 1.0
+    gamma: tuple[float, ...] = ()
 
     def _rows(self, x, p: int, weighted: bool, out=None, w=None) -> np.ndarray:
         u = np.asarray(x, dtype=float) - np.asarray(self.centre)
@@ -216,7 +300,9 @@ class GaussTaylorFactor:
             k = np.arange(self.p).reshape((-1,) + (1,) * (full.ndim - 1))
             q = -(k + 1) * full[1:]
             q[1:] += 2.0 * self.kappa * full[:-2]
-        return np.moveaxis(self.scale * q, 0, -1)
+        dim = len(self.centre)  # degree k has comb(k + dim - 1, k) monomials
+        weights = np.repeat(self.gamma, [math.comb(k + dim - 1, k) for k in range(self.p)])
+        return np.moveaxis(q, 0, -1) * (self.scale * weights)
 
     def fill(self, x, w, out) -> None:
         """out[...] = w * B(x), out of shape (r, n); side "s" only."""

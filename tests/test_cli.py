@@ -467,11 +467,11 @@ GAUSS_PROBLEM = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0,
                  "forcing": {"kind": "const", "value": 1.0}}
 
 
-@pytest.mark.parametrize("problem, grid, rank", [(GAUSS_PROBLEM, 101, 20),
+@pytest.mark.parametrize("problem, grid, rank", [(GAUSS_PROBLEM, 101, 16),
                                                  (GAUSS_PROBLEM, 11, None), (TS_PROBLEM, 11, 1)])
 def test_manifest_records_first_factor(tmp_path, problem, grid, rank):
-    # gauss-conv on [0, 1] with kappa = 2 needs r = 20 Taylor features: the
-    # factored path runs on 101 grid points and not on 11 (r > G/2)
+    # gauss-conv on [0, 1] with kappa = 2 needs r = 16 Chebyshev features:
+    # the factored path runs on 101 grid points and not on 11 (r > G/2)
     out = tmp_path / "ff"
     path = _write_config(tmp_path, problem=problem, grid=grid, out_dir=str(out))
     assert main(["solve", "--config", str(path)]) == 0
@@ -484,8 +484,21 @@ def test_manifest_records_first_factor(tmp_path, problem, grid, rank):
     k_sup = abs(problem.get("scale", 1.0))
     assert factor["eps_K"] <= 1e-17 * k_sup
     terms = sum(k_sup ** (m - 1) for m in range(1, summary["N"] + 1))
-    assert factor["bias_bound"] == pytest.approx(factor["eps_K"] * terms, rel=1e-12)
+    assert factor["bias_bound"] == pytest.approx(factor["eps_K"] * terms, rel=1e-12, abs=0)
     assert "tail_bound" in summary
+
+
+def test_perfbench_solve_2d_config_takes_the_factored_path(tmp_path):
+    # perfbench's solve-2d config (21^2 grid, MC power norms, gauss-sim band,
+    # covariance export) at a smaller budget: r = 210 <= 441 / 2
+    out = tmp_path / "s2d"
+    path = _write_config(tmp_path, problem={**GAUSS_PROBLEM, "bounds": [[0, 1], [0, 1]]},
+                         budget=20_000, grid=21, norms_method="mc", m_max=8,
+                         band_method="gauss-sim", export_covariance=True, workers=1, seed=101,
+                         out_dir=str(out))
+    assert main(["solve", "--config", str(path)]) == 0
+    factor = json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]
+    assert factor["rank"] == 210 and factor["eps_K"] <= 1e-17 * 0.4
 
 
 def test_pipeline_modes_record_one_stage_summary(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import fredmc as fm
 from fredmc.cli import KernelTimesForcing, _TimesForcing
 from fredmc.estimator import BLOCK_REPLICATES, _chain_tail, _first_factors, _run_term
 from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
-from fredmc.registry import ConstFunc, PolyFunc, _taylor_rest
+from fredmc.registry import (ConstFunc, GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest,
+                             _cheb_rest_dt)
 from fredmc.rng import TAG_SOLVE, substream
 
 
@@ -222,7 +224,7 @@ def _unfactored(spec):
 
 @pytest.fixture(scope="module")
 def gauss2d():
-    """2-D gauss-conv (Taylor rank 351) and its quadrature power norms."""
+    """2-D gauss-conv (rank 210) and its quadrature power norms."""
     spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]]})
     return spec, fm.power_norms(spec, 12)
 
@@ -260,12 +262,12 @@ def test_row_tiles_keep_the_bits_of_one_tile(engine, gauss2d, monkeypatch):
     assert np.array_equal(tiled.per_term, one.per_term)
 
 
-@pytest.mark.parametrize("points_per_dim", [21, 41], ids=["general", "factored"])
+@pytest.mark.parametrize("points_per_dim", [20, 41], ids=["general", "factored"])
 @pytest.mark.parametrize("engine", ["solve", "integral", "geometric"])
 def test_draws_are_grid_independent_on_a_2d_sub_grid(engine, points_per_dim, gauss2d):
     # 2-D: the 21^2 grid and its every-other-point 11^2 sub-grid share their
-    # points bit for bit; the domain's grid size picks the path (r = 351 is
-    # above 441 / 2, below 1681 / 2), and on the general path the 21^2 grid
+    # points bit for bit; the domain's grid size picks the path (r = 210 is
+    # above 20^2 / 2, below 41^2 / 2), and on the general path the 21^2 grid
     # spans 4 row tiles of solve's leading term, the sub-grid one
     spec, pnt = gauss2d
     spec = _with_grid(spec, points_per_dim)
@@ -274,7 +276,7 @@ def test_draws_are_grid_independent_on_a_2d_sub_grid(engine, points_per_dim, gau
     sub = np.logical_and.outer(every_other, every_other).ravel()
     a = _engine_on(engine, spec, pnt, fine, seed=21)
     b = _engine_on(engine, spec, pnt, fine[sub], seed=21)
-    assert (a.factor_rank is None) == (points_per_dim == 21)
+    assert (a.factor_rank is None) == (points_per_dim == 20)
     assert np.array_equal(a.values[sub], b.values)
     assert np.array_equal(a.pointwise_var[sub], b.pointwise_var)
     assert np.array_equal(a.per_term[:, sub], b.per_term)
@@ -525,7 +527,7 @@ def _fill_case(name):
 def test_fill_writes_the_product_it_replaces(name):
     # fill(x, w, out) writes w * b(x) into the runner's (r, n) slab: bit for
     # bit for the polynomial, constant and forcing-weighted factors; the
-    # Taylor factor folds w into its exponential row before the monomial
+    # gauss-conv factor folds w into its exponential row before the monomial
     # recurrence, so each entry moves by a few roundings at most
     b, x = _fill_case(name)
     ref_b = np.asarray(b(x), dtype=float)
@@ -565,13 +567,13 @@ def test_chain_tail_stacks_its_links_with_the_bits_of_a_link_loop(ts_spec, gauss
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_factored_term_holds_one_slab(gauss_spec, m):
-    # rank 20 at 16384-tuple blocks: w * B(x1) is filled into the runner's
+    # rank 16 at 16384-tuple blocks: w * B(x1) is filled into the runner's
     # r x block slab, so the traced peak stays below two slabs (a fresh
     # B(x1) array beside the slab was two slabs on its own)
     grid = gauss_spec.domain.grid()
     fac = _first_factors(gauss_spec.kernel, grid, gauss_spec.domain)
     r = fac[0].shape[1]
-    assert r == 20
+    assert r == 16
     tail = lambda xs: _chain_tail(gauss_spec.kernel, gauss_spec.forcing, xs)  # noqa: E731
     rng = substream(0, TAG_SOLVE, m)
     tracemalloc.start()
@@ -585,7 +587,7 @@ def test_factored_term_holds_one_slab(gauss_spec, m):
 
 
 def test_factored_2d_estimate_bits_do_not_depend_on_blas_threads(tmp_path):
-    # 2-D gauss-conv on the 41^2 grid takes the factored path with r = 351:
+    # 2-D gauss-conv on the 41^2 grid takes the factored path with r = 210:
     # the block Gram (r x r) and the expansion's (G x r)(r x r) product are
     # above OpenBLAS's one-thread cutoff, and estimate.csv keeps its bytes
     src = str(Path(fm.__file__).resolve().parents[1])
@@ -600,37 +602,80 @@ def test_factored_2d_estimate_bits_do_not_depend_on_blas_threads(tmp_path):
                    OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
         subprocess.run([sys.executable, "-m", "fredmc", "solve", "--config", str(path)], env=env,
                        capture_output=True, text=True, check=True, timeout=300)
-        assert json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]["rank"] == 351
+        assert json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]["rank"] == 210
         return (out / "estimate.csv").read_bytes()
 
     assert run(1) == run(2)
 
 
+def _gauss_bound(kernel, x, h, p):
+    """The closed-form remainder bound of degree p, relative to |scale|."""
+    if isinstance(kernel, GaussConvKernelDt):
+        return 2 * kernel.kappa * h * (_cheb_rest(x, p) + _cheb_rest_dt(x, p))
+    return _cheb_rest(x, p)
+
+
 @pytest.mark.parametrize("which", ["kernel", "kernel_dt"])
 @pytest.mark.parametrize("params", [{"scale": 0.4, "kappa": 2.0},
                                     {"scale": -1.3, "kappa": 8.0, "bounds": [[-0.5, 0.5]]},
-                                    {"scale": 0.7, "kappa": 0.1, "bounds": [[-1.0, 2.0]]}])
+                                    {"scale": 0.7, "kappa": 0.1, "bounds": [[-1.0, 2.0]]},
+                                    {"scale": 0.9, "kappa": 8.0, "bounds": [[0.0, 2.0]]}])
 def test_gauss_taylor_bound_holds_on_a_dense_grid(which, params):
     # |K - A B| on a dense grid of the box stays below the closed-form
-    # remainder bound at every degree up to the one chosen; the float64 sum
-    # of r products adds rounding of up to r * eps * |scale| on top
+    # Chebyshev remainder bound at every degree up to the one chosen, which
+    # is the least degree within 1e-17 |scale|; the float64 sum of r
+    # products adds rounding of up to r * eps * |scale| (times 2 kappa for
+    # dK/dt) on top.  x = 2 kappa h^2 runs from 0.45 to 16 over the boxes.
     kernel = getattr(fm.build_problem("gauss-conv", params), which)
     a, b, eps = kernel.factors()
     lo, hi = kernel.box[0]
     t, s = np.linspace(lo, hi, 401)[:, None], np.linspace(lo, hi, 397)[:, None]
     dense = kernel(t[:, None, :], s[None, :, :])
     rounding = 4 * a.p * np.finfo(float).eps * abs(kernel.scale) * max(1.0, 2 * kernel.kappa)
-    bound = {"kernel": lambda x, h, p: _taylor_rest(x, p),
-             "kernel_dt": lambda x, h, p: 2 * kernel.kappa * h * (_taylor_rest(x, p)
-                                                                  + _taylor_rest(x, p - 1))}[which]
     h = (hi - lo) / 2
-    assert eps == pytest.approx(abs(kernel.scale) * bound(2 * kernel.kappa * h * h, h, a.p),
-                                rel=1e-12)
-    assert eps <= 1e-17 * abs(kernel.scale)
-    for p in range(1, a.p + 1):
-        a_p, b_p = dataclasses.replace(a, p=p), dataclasses.replace(b, p=p)
+    x = 2 * kernel.kappa * h * h
+    assert eps == pytest.approx(abs(kernel.scale) * _gauss_bound(kernel, x, h, a.p), rel=1e-12, abs=0)
+    assert eps <= 1e-17 * abs(kernel.scale) < abs(kernel.scale) * _gauss_bound(kernel, x, h, a.p - 1)
+    assert a.gamma == _cheb_gamma(x, a.p)
+    for p in range(1, a.p + 1):  # each degree has its own weights gamma
+        a_p, b_p = dataclasses.replace(a, p=p, gamma=_cheb_gamma(x, p)), dataclasses.replace(b, p=p)
         err = np.max(np.abs(dense - a_p(t) @ b_p(s)))
-        assert err <= abs(kernel.scale) * bound(2 * kernel.kappa * h * h, h, p) + rounding
+        assert err <= abs(kernel.scale) * _gauss_bound(kernel, x, h, p) + rounding
+    assert np.max(np.abs(dense - a(t) @ b(s))) <= eps + rounding
+
+
+def test_gauss_chebyshev_weights_match_the_bessel_series():
+    # exp(y) = I_0(x) + 2 sum_n I_n(x) T_n(y / x): at degree 1 the only weight
+    # is I_0(x); at the chosen degree on [-x, x] the polynomial sum_k
+    # gamma_k y^k / k! stays within 1e-17 e^|y| of exp(y) up to rounding,
+    # also at x = 16, where converting the Chebyshev coefficients to
+    # monomials in float64 (numpy's cheb2poly) is off by about 1e-9 e^|y|
+    for x in (1e-3, 0.45, 1.0, 16.0):
+        assert _cheb_gamma(x, 1) == (pytest.approx(float(np.i0(x)), rel=1e-14, abs=0),)
+    for x in (0.45, 1.0, 2.0, 4.0, 16.0):
+        p = next(p for p in range(1, 200) if _cheb_rest(x, p) <= 1e-17)
+        y = np.linspace(-x, x, 4001)
+        poly = np.polynomial.polynomial.polyval(
+            y, [g / math.factorial(k) for k, g in enumerate(_cheb_gamma(x, p))])
+        assert np.max(np.abs(np.exp(y) - poly) * np.exp(-np.abs(y))) <= 1e-17 + 8 * np.finfo(float).eps
+    # the weights grow with x: at x = 40 (900) no factors are offered
+    spec = fm.build_problem("gauss-conv", {"scale": 1.0, "kappa": 20.0, "bounds": [[0.0, 2.0]]})
+    assert spec.kernel.factors() is None and spec.kernel_dt.factors() is None
+
+
+@pytest.mark.parametrize("kappa, rank", [(2.0, 210), (0.5, 91)])
+def test_gauss_2d_factors_hold_their_bound(kappa, rank):
+    # [0, 1]^2: x = 2 kappa h^2 = kappa (h^2 = 1/2); degree p gives
+    # p (p + 1) / 2 features, each degree-k row weighted by its own gamma_k
+    kernel = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": kappa,
+                                             "bounds": [[0, 1], [0, 1]]}).kernel
+    a, b, eps = kernel.factors()
+    box = ((0.0, 1.0), (0.0, 1.0))
+    t, s = DomainSpec(2, box, 41).grid(), DomainSpec(2, box, 37).grid()
+    assert a(t).shape == (len(t), rank) and b(s).shape == (rank, len(s))
+    assert eps <= 1e-17 * 0.4 < 0.4 * _cheb_rest(kappa, a.p - 1)
+    dense = kernel(t[:, None, :], s[None, :, :])
+    rounding = 4 * rank * np.finfo(float).eps * 0.4 * 2 * kappa
     assert np.max(np.abs(dense - a(t) @ b(s))) <= eps + rounding
 
 
