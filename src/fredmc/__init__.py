@@ -12,8 +12,7 @@ from .confidence import (ConfidenceBand, PsiFunction, entropy_H, natural_psi_fro
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
                      FredmcError, NotPSD, UnsupportedDerivative)
 from .estimator import (CovarianceModel, EstimateTable, derivative_solve, estimate_covariance,
-                        estimate_parametric_integral, solve_fredholm_mc, solve_geometric,
-                        tensor_integrand)
+                        estimate_parametric_integral, solve_fredholm_mc, solve_geometric)
 from .neumann import (TruncationPlan, apply_power_quadrature, choose_truncation,
                       damped_solution_oracle, truncated_solution_oracle)
 from .problem import (DomainSpec, MeasureSampler, Metric, PowerNormTable, ProblemSpec,
@@ -27,7 +26,7 @@ __all__ = [
     "BandTooWide", "BudgetError", "ConfigError", "ContractivityError", "FredmcError",
     "NotPSD", "UnsupportedDerivative",
     "CovarianceModel", "EstimateTable", "derivative_solve", "estimate_covariance",
-    "estimate_parametric_integral", "solve_fredholm_mc", "solve_geometric", "tensor_integrand",
+    "estimate_parametric_integral", "solve_fredholm_mc", "solve_geometric",
     "TruncationPlan", "apply_power_quadrature", "choose_truncation",
     "damped_solution_oracle", "truncated_solution_oracle",
     "DomainSpec", "MeasureSampler", "Metric", "PowerNormTable", "ProblemSpec",

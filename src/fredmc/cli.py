@@ -189,6 +189,10 @@ class _TimesForcing:
         out *= np.asarray(self.f(x))
         out *= w
 
+    def gram_plan(self):
+        """B's product plan, or None: f(x) weights every row alike, as w does."""
+        return getattr(self.b, "gram_plan", lambda: None)()
+
 
 # ---------------------------------------------------------------------------
 # artifact writers

@@ -31,14 +31,13 @@ import numpy as np
 
 from .allocation import BudgetAllocation
 from .errors import BandTooWide, NotPSD
-from .estimator import CovarianceModel
+from .estimator import _ONE_THREAD_GEMM, CovarianceModel
 from .problem import DomainSpec, Metric, ProblemSpec
 from .rng import TAG_GAUSS_SIM, substream
 
 C0_BAR = 1.77638        # normalizing constant of the CLT moment profile
 SIM_BATCH = 4096
 SIM_TILE = 24           # path rows of a gemm tile come in multiples of this
-_ONE_THREAD_GEMM = 2 ** 18  # OpenBLAS runs a gemm with m * n * k up to this on one thread
 _NEG_EIG_TOL = 1e-6     # covariance eigenvalues below -tol * trace raise NotPSD
 _TRACE_CUT = 1e-12      # trace share of the smallest eigenpairs left out of the simulation
 _W_CONVEXITY_TOL = -1e-9

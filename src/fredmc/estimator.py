@@ -24,7 +24,11 @@ Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never
 materializes the tuples.  On the factored path a term keeps the r x r
 co-moment of w and the plug-in covariance is A S A^T with S r x r: no
-G x G array is formed unless something reads ``Z_hat``.
+G x G array is formed unless something reads ``Z_hat``.  For r > 1 a
+block's co-moment comes from one product of w with a few probe rows,
+through the t-free factor's product plan (``gram_plan()``; every row a
+probe without one): for the gauss-conv monomials w_a w_b depends only on
+a + b, so the r x r Gram matrix gathers from r x P products.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .problem import (_ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTab
 from .rng import TAG_DERIVATIVE, TAG_GEOMETRIC, TAG_INTEGRAL, TAG_SOLVE, substream
 
 BLOCK_REPLICATES = 16384
+_ONE_THREAD_GEMM = 2 ** 18  # OpenBLAS runs a gemm with m * n * k up to this on one thread
 # chain-link evaluations per stacked kernel call: stacking saves the fixed
 # cost of one call per link, which dominates small blocks; on a full block
 # the copy into stacked pairs costs more than it saves
@@ -81,19 +86,20 @@ class TermMoments:
             return self.m2
         return (self.a @ self.m2) @ self.a.T
 
-    def merge_block(self, vals: np.ndarray, full: bool, mean_b=None,
-                    gram_diag: bool = False) -> None:
+    def merge_block(self, vals: np.ndarray, full: bool, mean_b=None) -> None:
         """Fold one (rows, block) slab of per-tuple values with row means
-        ``mean_b`` (computed if None), centering it in place, into the running
-        moments by the pairwise update of Chan, Golub and LeVeque.  With
-        ``gram_diag`` (and ``full``) the block's diagonal is that of the
-        co-moment ``vals @ vals.T`` instead of its own pass over the rows,
-        so ``m2_diag`` stays the diagonal of ``m2`` bit for bit."""
-        nb = vals.shape[1]
+        ``mean_b`` (computed if None), centering it in place; with ``full``
+        the block co-moment is its Gram matrix ``vals @ vals.T``."""
         mean_b = vals.mean(axis=1) if mean_b is None else mean_b
         vals -= mean_b[:, None]
-        full_b = vals @ vals.T if full else None
-        diag_b = full_b.diagonal().copy() if full and gram_diag else np.einsum("gi,gi->g", vals, vals)
+        self.merge(vals.shape[1], mean_b, np.einsum("gi,gi->g", vals, vals),
+                   vals @ vals.T if full else None)
+
+    def merge(self, nb: int, mean_b: np.ndarray, diag_b: np.ndarray,
+              full_b: Optional[np.ndarray] = None) -> None:
+        """Merge the moments of a block of ``nb`` tuples (row means, centred
+        sums of squares and, if kept, co-moment) into the running moments
+        by the pairwise update of Chan, Golub and LeVeque."""
         if self.count == 0:
             self.count, self.mean, self.m2_diag, self.m2 = nb, mean_b, diag_b, full_b
             return
@@ -102,7 +108,7 @@ class TermMoments:
         scale = na * nb / n
         self.mean = self.mean + delta * (nb / n)
         self.m2_diag = self.m2_diag + diag_b + delta * delta * scale
-        if full:
+        if full_b is not None:
             self.m2 = self.m2 + full_b + np.outer(delta, delta) * scale
         self.count = n
 
@@ -160,20 +166,7 @@ class CovarianceModel:
 
 
 # ---------------------------------------------------------------------------
-# tensorized integrand
-
-
-def tensor_integrand(spec: ProblemSpec, t, xs) -> float:
-    """Telescoping product K(t,x1) K(x1,x2) ... K(x_{m-1},x_m) f(x_m),
-    evaluated left-to-right in fixed order."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    out = float(spec.kernel(t, xs[0]))
-    for i in range(xs.shape[0] - 1):
-        out *= float(spec.kernel(xs[i], xs[i + 1]))
-    return out * float(spec.forcing(xs[-1]))
+# the term runner
 
 
 def _chain_tail(kernel: Callable, forcing: Optional[Callable], xs: np.ndarray) -> np.ndarray:
@@ -194,19 +187,67 @@ def _chain_tail(kernel: Callable, forcing: Optional[Callable], xs: np.ndarray) -
     return c if forcing is None else c * np.asarray(forcing(xs[:, -1, :]), dtype=float)
 
 
-def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
-               pts: Optional[np.ndarray]) -> None:
-    """Fold one tile's block into ``tm``, naming the first non-finite value
-    (row-major; t and x, or x alone if pts is None) when a row mean is not.
-    A factored block (pts None) takes its diagonal from its co-moment."""
-    with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
-        mean_b = vals.mean(axis=1)
-    bad = () if np.all(np.isfinite(mean_b)) else np.argwhere(~np.isfinite(vals))
+def _name_nonfinite(vals: np.ndarray, xs: np.ndarray, pts: Optional[np.ndarray]) -> None:
+    """Raise naming the first non-finite value of ``vals`` (row-major; t and
+    x, or x alone if pts is None); return if there is none."""
+    bad = np.argwhere(~np.isfinite(vals))
     if len(bad) and pts is None:
         raise ValueError(f"non-finite value in the t-free factor B(x1) * tail at x={xs[bad[0, 1]]}")
     if len(bad):
         raise ValueError(f"non-finite integrand at t={pts[bad[0, 0]]}, x={xs[bad[0, 1]]}")
-    tm.merge_block(vals, full, mean_b, gram_diag=pts is None)
+
+
+def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
+               pts: Optional[np.ndarray]) -> None:
+    """Fold one tile's block into ``tm``, naming the first non-finite value
+    when a row mean is not."""
+    with np.errstate(invalid="ignore"):  # a row with +inf and -inf has mean NaN
+        mean_b = vals.mean(axis=1)
+    if not np.all(np.isfinite(mean_b)):
+        _name_nonfinite(vals, xs, pts)
+    tm.merge_block(vals, full, mean_b)
+
+
+def _plan_moments(vals: np.ndarray, probes: np.ndarray, index: np.ndarray, xs: np.ndarray):
+    """(nb, row means, diagonal, co-moment) of a factored (r, nb) block W by
+    the factor's product plan, naming x of the first non-finite value.
+
+    Row 0 is centred in place, C0 = W0 - mu0 (mu0 its mean), and one
+    product prod = W [1; W[probes]]^T of shape (r, P + 1) is formed.  Its
+    column 0 holds the row sums.  Column 1 (probe 0, row 0) holds
+    sum W_k C0, which is the centred entry (k, 0) after the exact
+    correction for sum C0 != 0; adding mu0 sum W_k gives the raw sum
+    W_k W0 that the other entries gather.  Entry (j, k) is then the
+    gathered raw sum, ``prod.flat[index[j, k]]``, minus nb mean_j mean_k.
+    The diagonal is the co-moment's.  The product is summed in order over
+    column tiles of at most _ONE_THREAD_GEMM / (r (P + 1)) columns, which
+    OpenBLAS runs on one thread, so the bits do not depend on the BLAS
+    thread count; a tile's P + 1 rows are copied into one small buffer."""
+    r, nb = vals.shape
+    with np.errstate(invalid="ignore"):
+        mu0 = vals[0].mean()
+    if not np.isfinite(mu0):  # before the centring, which would hide where row 0 failed
+        _name_nonfinite(vals, xs, None)
+    vals[0] -= mu0
+    step = max(1, _ONE_THREAD_GEMM // (r * (len(probes) + 1)))
+    buf, prod = np.empty((len(probes) + 1) * min(step, nb)), 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, nb, step):
+            tile = vals[:, lo:lo + step]
+            rows = buf[:(len(probes) + 1) * tile.shape[1]].reshape(-1, tile.shape[1])
+            rows[0] = 1.0
+            rows[1:] = tile[probes]   # np.take would copy the whole tile first
+            prod = prod + tile @ rows.T
+    sums = prod[:, 0]
+    if not np.all(np.isfinite(sums)):
+        _name_nonfinite(vals, xs, None)
+    centred0 = prod[:, 1] - sums * (sums[0] / nb)
+    prod[:, 1] += mu0 * sums
+    mean_b = sums / nb
+    mean_b[0] += mu0
+    m2 = prod.ravel()[index] - nb * np.outer(mean_b, mean_b)
+    m2[0] = m2[:, 0] = centred0
+    return nb, mean_b, m2.diagonal().copy(), m2
 
 
 def _fill_of(b: Callable) -> Callable:
@@ -219,12 +260,27 @@ def _fill_of(b: Callable) -> Callable:
     return lambda x, w, out: np.multiply(np.reshape(b(x), out.shape), w, out=out, dtype=float)
 
 
+def _runner_plan(b: Callable, r: int):
+    """(probes, index) for ``_plan_moments`` of an r-row t-free factor b:
+    ``b.gram_plan()``, with Gram[j, k] = (W @ W[probes].T).flat[index[j, k]]
+    for W = w * b(x), or the trivial plan (every row a probe, the lower
+    triangle of W @ W.T) for a b without one; the index is shifted past
+    the row-sum column that the runner's product puts first."""
+    plan = getattr(b, "gram_plan", lambda: None)()
+    if plan is None:
+        j, k = np.indices((r, r))
+        plan = np.arange(r), np.maximum(j, k) * r + np.minimum(j, k)
+    probes, index = plan
+    return probes, index + index // len(probes) + 1
+
+
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
-    """(A(grid) of shape (G, r), fill, eps) when the first factor takes the
-    factored path, else None.  ``first.factors()`` returns (a, b) for an
+    """(A(grid) of shape (G, r), fill, eps, plan) when the first factor takes
+    the factored path, else None.  ``first.factors()`` returns (a, b) for an
     exact K(t, s) = sum_k a_k(t) b_k(s), or (a, b, eps) for an expansion
     within eps of K on the domain box, or None; a(t) has shape (G,) or
-    (G, r), b(s) shape (n,) or (r, n), and ``fill`` is ``_fill_of(b)``.
+    (G, r), b(s) shape (n,) or (r, n), ``fill`` is ``_fill_of(b)`` and
+    ``plan`` is ``_runner_plan(b, r)`` for r > 1, else None.
     The path is taken while r <= G/2, G the domain's grid size (so it does
     not depend on the points passed), and an inexact expansion only on
     grids inside the box."""
@@ -241,7 +297,8 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
     bad = ~np.all(np.isfinite(a_t), axis=1)
     if np.any(bad):
         raise ValueError(f"non-finite first factor at t={grid[np.argmax(bad)]}")
-    return a_t, _fill_of(b), eps
+    r = a_t.shape[1]
+    return a_t, _fill_of(b), eps, _runner_plan(b, r) if r > 1 else None
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
@@ -262,17 +319,19 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
     evaluates once for all its terms.  On the factored path (fac not None)
     the same block loop, with the same draws in the same order, fills the
-    r-vector w = B(x1) * tail straight into the slab, one tile of r rows,
-    and folds its r x r co-moment M2_w, whose diagonal is the block's own.
+    r-vector w = B(x1) * tail straight into the slab, one tile of r rows.
+    For r > 1 the block's moments come from one product against the
+    factor's probe rows (``_plan_moments``) and give the r x r co-moment M2_w, whose diagonal is the block's own; a
+    1 x 1 co-moment is its diagonal, which the general fold forms.
     The mean A mu_w and m2_diag = rowwise((A M2_w) o A), one gemm, are
     expanded over the grid; M2_w is kept with A.
     """
+    plan = None
     if fac is None:
         rows, full = grid.shape[0], collect_cov
     else:
-        a_t, fill, eps = fac
-        # a 1 x 1 co-moment is its diagonal; forming it per block costs a BLAS dot
-        rows, full = a_t.shape[1], a_t.shape[1] > 1
+        a_t, fill, eps, plan = fac
+        rows, full = a_t.shape[1], False
     step = rows if full or fac is not None else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
     tiles = [TermMoments(m=m, theta=theta) for _ in range(0, rows, step)]
     slab = np.empty(rows * min(count, BLOCK_REPLICATES)) if len(tiles) == 1 else None
@@ -289,7 +348,10 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
             else:
                 vals = out
                 fill(xs[:, 0, :], tail_b, out)
-            _fold_tile(tm, vals, full, xs, pts)
+            if plan is None:
+                _fold_tile(tm, vals, full, xs, pts)
+            else:
+                tm.merge(*_plan_moments(vals, *plan, xs))
     tm = TermMoments(m=m, theta=theta, count=count, m2=tiles[0].m2,
                      mean=np.concatenate([t.mean for t in tiles]),
                      m2_diag=np.concatenate([t.m2_diag for t in tiles]))

@@ -231,6 +231,39 @@ def _monomial_steps(dim: int, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(steps)
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_plan(dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(probes, index) of the Gram matrix of the monomials of
+    ``_monomial_steps`` (times one common weight): v^alpha v^beta depends
+    only on alpha + beta, so with the constant and the degree-(p-1)
+    monomials as probes every entry is one of the r x len(probes)
+    products, Gram[j, k] = (B @ B[probes].T).flat[index[j, k]].  A sum of
+    degree up to p-1 pairs with the constant; above it, greedily over the
+    axes, with a degree-(p-1) probe below it, leaving a degree 1..p-1 rest.
+    The index is symmetric and probes[0] = 0; both arrays are read-only."""
+    alphas = [np.zeros(dim, dtype=np.intp)]
+    for parent, axis, _ in _monomial_steps(dim, p):
+        alphas.append(alphas[parent] + np.eye(dim, dtype=np.intp)[axis])
+    alphas = np.array(alphas)
+    degree = alphas.sum(axis=1)
+    probes = np.concatenate([[0], np.flatnonzero(degree == p - 1)]) if p > 1 else np.zeros(1, np.intp)
+    total = alphas[:, None, :] + alphas[None, :, :]
+    before = np.cumsum(total, axis=-1) - total   # degree of the sum on the earlier axes
+    rho = np.clip(np.minimum(total, p - 1 - before), 0, None)
+    rho[total.sum(axis=-1) <= p - 1] = 0
+    base = p ** np.arange(dim)   # exponents below p: one integer key per monomial
+    order = np.argsort(alphas @ base)
+
+    def where(a):
+        return order[np.searchsorted((alphas @ base)[order], a @ base)]
+
+    column = np.searchsorted(probes, where(rho))   # probes ascend: the constant, then graded order
+    index = where(total - rho) * len(probes) + column
+    for arr in (probes, index):
+        arr.flags.writeable = False
+    return probes, index
+
+
 def _gauss_factors(kernel, rest, side: str):
     """(A, B, eps) for a gauss-conv kernel or its t-derivative, or None when
     the kernel has no box, needs more than _GAUSS_MAX_RANK features or has
@@ -307,6 +340,11 @@ class GaussFactor:
     def fill(self, x, w, out) -> None:
         """out[...] = w * B(x), out of shape (r, n); side "s" only."""
         self._rows(x, self.p, False, out, w)
+
+    def gram_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probes, index) with Gram[j, k] = (W @ W[probes].T).flat[index[j, k]]
+        for W = w * B(x) with any weights w; side "s" only (``_monomial_plan``)."""
+        return _monomial_plan(len(self.centre), self.p)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import fredmc as fm
 from fredmc.cli import KernelTimesForcing, _TimesForcing
-from fredmc.estimator import BLOCK_REPLICATES, _chain_tail, _first_factors, _run_term
+from fredmc import estimator
+from fredmc.estimator import (BLOCK_REPLICATES, _chain_tail, _first_factors, _plan_moments, _run_term,
+                              _runner_plan)
 from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
 from fredmc.registry import (ConstFunc, GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest,
                              _cheb_rest_dt)
@@ -91,20 +93,6 @@ def test_parametric_integral_aborts_on_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         fm.estimate_parametric_integral(Bad(), MeasureSampler(), dom,
                                         np.array([1.0]), 1000, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# tensorized integrand
-
-
-def test_tensor_integrand_constant(const_spec):
-    assert fm.tensor_integrand(const_spec, 0.7, np.array([0.1, 0.9, 0.4])) == pytest.approx(0.125)
-
-
-def test_tensor_integrand_hand_products(ts_spec):
-    # (1*0.5) * (0.5*0.2) * 0.2 and the single-factor case 0.5*0.4*0.4
-    assert fm.tensor_integrand(ts_spec, 1.0, np.array([0.5, 0.2])) == pytest.approx(0.01)
-    assert fm.tensor_integrand(ts_spec, 0.5, np.array([0.4])) == pytest.approx(0.08)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +592,162 @@ def test_factored_2d_estimate_bits_do_not_depend_on_blas_threads(tmp_path):
                        capture_output=True, text=True, check=True, timeout=300)
         assert json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]["rank"] == 210
         return (out / "estimate.csv").read_bytes()
+
+    assert run(1) == run(2)
+
+
+def _plan_factor(case):
+    """(t-free factor b, rank r, points x of shape (3000, dim)) of one plan case."""
+    dim = 1 if case == "times-forcing" else int(case[0])
+    box = np.array({1: [[0, 1]], 2: [[0, 1], [0, 1]], 3: [[-1, 0], [0, 1], [0, 2]]}[dim], dtype=float)
+    b = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0 if dim < 3 else 0.02,
+                                        "bounds": box.tolist()}).kernel.factors()[1]
+    if case == "times-forcing":
+        b = _TimesForcing(b, PolyFunc((1.0, -0.8)))
+    x = box[:, 0] + np.random.default_rng(7).random((3000, dim)) * (box[:, 1] - box[:, 0])
+    return b, len(b(x[:1])), x
+
+
+@pytest.mark.parametrize("case, rank, probes", [("1d", 16, 2), ("2d", 210, 21), ("3d", 165, 46),
+                                                ("times-forcing", 16, 2)])
+def test_gram_plan_gathers_the_gram_matrix(case, rank, probes):
+    # w_a w_b depends only on a + b for the monomial rows w = w(x) B(x):
+    # the r x P product against the probe rows (the constant and the
+    # degree-(p-1) monomials) holds every entry of the r x r Gram matrix
+    b, r, x = _plan_factor(case)
+    probe_rows, index = b.gram_plan()
+    assert (r, len(probe_rows)) == (rank, probes) and probe_rows[0] == 0
+    assert np.array_equal(index, index.T)
+    for w in (1.0, np.random.default_rng(8).normal(size=len(x))):
+        vals = np.empty((r, len(x)))
+        b.fill(x, w, vals)
+        gram = vals @ vals.T
+        gathered = (vals @ vals[probe_rows].T).ravel()[index]
+        assert np.max(np.abs(gathered - gram)) <= 4 * np.finfo(float).eps * np.max(np.abs(gram))
+
+
+class _NoPlan:
+    """A t-free factor without ``gram_plan``: the runner takes the trivial plan."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def __call__(self, x):
+        return self.b(x)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "times-forcing"])
+@pytest.mark.parametrize("planned", [True, False])
+def test_plan_moments_match_the_centred_gram(case, planned):
+    # the block's mean, diagonal and co-moment from one probe product agree
+    # with the centred Gram matrix, with the factor's plan and with the
+    # trivial plan (every row a probe) alike; the diagonal is the co-moment's
+    b, r, x = _plan_factor(case)
+    w = 1.0 + 0.5 * np.random.default_rng(9).normal(size=len(x))
+    vals = np.empty((r, len(x)))
+    b.fill(x, w, vals)
+    ref = vals.astype(np.longdouble)
+    ref -= ref.mean(axis=1)[:, None]
+    ref = ref @ ref.T
+    probes, index = _runner_plan(b if planned else _NoPlan(b), r)
+    assert len(probes) == (r if not planned else len(b.gram_plan()[0]))
+    nb, mean, diag, m2 = _plan_moments(vals.copy(), probes, index, x)
+    assert nb == len(x) and np.array_equal(diag, np.diag(m2)) and np.array_equal(m2, m2.T)
+    np.testing.assert_allclose(mean, vals.mean(axis=1), rtol=1e-13, atol=0.0)
+    assert np.max(np.abs(m2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _var_reference(spec, budget, seed, monkeypatch):
+    """(pointwise_var of a solve, the same from an np.longdouble centred
+    co-moment of the very blocks the runner folded)."""
+    pnt = fm.power_norms(spec, 12)
+    plan = fm.choose_truncation(pnt, spec.f_norm, 0.01)
+    alloc = fm.optimal_allocation(pnt, plan.N, budget)
+    grid = spec.domain.grid()
+    blocks, fold = [], estimator._plan_moments
+
+    def recording(vals, *args):
+        blocks.append(vals.copy())
+        return fold(vals, *args)
+
+    monkeypatch.setattr(estimator, "_plan_moments", recording)
+    est = fm.solve_fredholm_mc(spec, plan, alloc, grid, seed)
+    monkeypatch.setattr(estimator, "_plan_moments", fold)
+    a = _first_factors(spec.kernel, grid, spec.domain)[0].astype(np.longdouble)
+    var, used = np.zeros(len(grid), dtype=np.longdouble), 0
+    for count in alloc.counts:
+        k = -(-int(count) // BLOCK_REPLICATES)
+        w = np.concatenate(blocks[used:used + k], axis=1).astype(np.longdouble)
+        used += k
+        w -= w.mean(axis=1)[:, None]
+        var += np.einsum("gk,gk->g", a @ (w @ w.T), a) / ((count - 1) * count)
+    assert used == len(blocks) > 0
+    return est.pointwise_var, var
+
+
+_PRECISION_CASES = {
+    "solve-1d": ({"scale": 0.4, "kappa": 2.0}, 100_000),
+    "near-flat": ({"scale": 0.4, "kappa": 1e-4}, 100_000),
+    "2d": ({"scale": 0.4, "kappa": 2.0, "bounds": [[0, 1], [0, 1]], "grid": 21}, 4_000),
+}
+
+
+def _plan_moments_uncentred(vals, probes, index, xs):
+    """The plan's fold with every entry from raw sums, row 0 not centred."""
+    nb = vals.shape[1]
+    prod = vals @ np.vstack([np.ones(nb), vals[probes]]).T
+    mean = prod[:, 0] / nb
+    m2 = prod.ravel()[index] - nb * np.outer(mean, mean)
+    return nb, mean, m2.diagonal().copy(), m2
+
+
+@pytest.mark.parametrize("case", list(_PRECISION_CASES))
+def test_factored_variance_matches_an_extended_precision_reference(case, monkeypatch):
+    # entries outside row and column 0 come from raw sums, so row 0 (the
+    # exponential row, nearly constant when kappa is small) is centred
+    # before the product: without that, the near-flat field loses digits
+    params, budget = _PRECISION_CASES[case]
+    spec = fm.build_problem("gauss-conv", {"forcing": {"kind": "const", "value": 1.0}, **params})
+    var, ref = _var_reference(spec, budget, 3, monkeypatch)
+    assert np.max(np.abs(var - ref) / ref) <= 1e-13
+    if case == "near-flat":
+        assert spec.kernel.factors()[0].p == 4
+        monkeypatch.setattr(estimator, "_plan_moments", _plan_moments_uncentred)
+        var, ref = _var_reference(spec, budget, 3, monkeypatch)
+        assert np.max(np.abs(var - ref) / ref) > 1e-10
+
+
+def test_plan_block_moments_do_not_depend_on_blas_threads():
+    # the probe product is summed over column tiles that OpenBLAS runs on
+    # one thread, at r = 16 (P + 1 = 3) and r = 210 (P + 1 = 22), on full
+    # and partial blocks: the block moments keep their bytes at 1 and 2
+    # threads (a product over the whole block moved bits at r = 210)
+    script = """
+import hashlib
+import numpy as np
+import fredmc as fm
+from fredmc.estimator import _plan_moments, _runner_plan
+digest = hashlib.sha256()
+for bounds in ([[0, 1]], [[0, 1], [0, 1]]):
+    b = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": bounds}).kernel.factors()[1]
+    for nb in (16384, 9000, 3000):
+        rng = np.random.default_rng(nb)
+        x = rng.random((nb, len(bounds)))
+        r = len(b(x[:1]))
+        vals = np.empty((r, nb))
+        b.fill(x, 1.0 + rng.random(nb), vals)
+        probes, index = _runner_plan(b, r)
+        for part in _plan_moments(vals, probes, index, x)[1:]:
+            digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+    src = str(Path(fm.__file__).resolve().parents[1])
+
+    def run(threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=300).stdout
 
     assert run(1) == run(2)
 
