@@ -5,7 +5,7 @@ non-asymptotic moment/entropy tail bounds)."""
 
 __version__ = "0.1.0"
 
-from .allocation import BudgetAllocation, optimal_allocation, r_alpha_sum, theorem11_bound
+from .allocation import BudgetAllocation, optimal_allocation
 from .confidence import (ConfidenceBand, PsiFunction, entropy_H, natural_psi_from_R,
                          nonasymptotic_band, psi_bar, simulate_sup_quantile,
                          tail_shape_report, v_star)
@@ -20,7 +20,7 @@ from .problem import (DomainSpec, MeasureSampler, Metric, PowerNormTable, Proble
 from .registry import build_problem, exact_solution, fixture_constant_half, fixture_gauss, fixture_ts
 
 __all__ = [
-    "BudgetAllocation", "optimal_allocation", "r_alpha_sum", "theorem11_bound",
+    "BudgetAllocation", "optimal_allocation",
     "ConfidenceBand", "PsiFunction", "entropy_H", "natural_psi_from_R",
     "nonasymptotic_band", "psi_bar", "simulate_sup_quantile", "tail_shape_report", "v_star",
     "BandTooWide", "BudgetError", "ConfigError", "ContractivityError", "FredmcError",

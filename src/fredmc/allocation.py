@@ -13,9 +13,9 @@ at most N(N+1)/2 and the realized Phi never exceeds the continuous
 optimum R_half^2 / n, which is also the least Phi attainable at cost n.
 
 The paper states the bracket R_half * R_minus_half / n for the optimal
-Phi (``theorem11_bound``).  Since R_minus_half <= R_half, that bracket
-lies below the attainable minimum R_half^2 / n, so the realized Phi
-exceeds it; acceptance criterion 2 checks the stated bracket and fails.
+Phi.  Since R_minus_half <= R_half, that bracket lies below the attainable
+minimum R_half^2 / n, so the realized Phi exceeds it; acceptance
+criterion 2 checks the stated bracket and fails.
 """
 
 from __future__ import annotations
@@ -59,14 +59,6 @@ class BudgetAllocation:
             fh.write("\n")
 
 
-def r_alpha_sum(pnt: PowerNormTable, alpha: float, N: int) -> float:
-    """R_alpha(N, U) = sum_{k=1}^{N} k^alpha * r_k(U)^(1/2)."""
-    if N < 1 or N > pnt.m_max:
-        raise ValueError(f"N must lie in [1, m_max={pnt.m_max}]")
-    k = np.arange(1, N + 1, dtype=float)
-    return float(np.sum(k ** alpha * np.sqrt(pnt.r_U[:N])))
-
-
 def counts_from_weights(r_u: np.ndarray, N: int, n_total: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(theta, counts, R_half) for the first N terms of a given r_m(U)."""
     k = np.arange(1, N + 1, dtype=float)
@@ -108,25 +100,3 @@ def _allocation(r_u: np.ndarray, N: int, n_total: int) -> BudgetAllocation:
         cost_B=int(np.sum(k * counts)), phi_predicted=float(np.sum(r_u[:N] / counts)),
         R_half=R_half, R_minus_half=float(np.sum(k ** -0.5 * np.sqrt(r_u[:N]))), r_u=r_u)
 
-
-def theorem11_bound(pnt: PowerNormTable, N: int, n_total: int, f_norm: float) -> tuple[float, float]:
-    """The paper's stated bracket for the optimal variance at budget n:
-
-        ||f||^2 * R_half * R_minus_half * (1/n -+ C/n^2)
-
-    with C a rounding-loss constant N(N+1)/2 * max_m r_m(U)^(-1/2) * R_half
-    (the theory leaves the 1/n^2 constants abstract; rounding changes each
-    count by at most one replicate).  Returns (upper, lower).
-
-    It is not a bound on the realized variance: R_half * R_minus_half / n
-    lies below the attainable minimum ||f||^2 R_half^2 / n, so the realized
-    variance exceeds the upper value (acceptance criterion 2 fails on it).
-    """
-    if f_norm == 0.0:
-        return 0.0, 0.0
-    R_half = r_alpha_sum(pnt, 0.5, N)
-    R_mhalf = r_alpha_sum(pnt, -0.5, N)
-    c_round = N * (N + 1) / 2 * float(np.max(pnt.r_U[:N] ** -0.5)) * R_half
-    lead = f_norm ** 2 * R_half * R_mhalf
-    n = float(n_total)
-    return lead * (1.0 / n + c_round / n ** 2), lead * (1.0 / n - c_round / n ** 2)

@@ -189,9 +189,13 @@ class _TimesForcing:
         out *= np.asarray(self.f(x))
         out *= w
 
-    def gram_plan(self):
-        """B's product plan, or None: f(x) weights every row alike, as w does."""
-        return getattr(self.b, "gram_plan", lambda: None)()
+    def power_plan(self):
+        """B's plan, or None: f(x) weights every row alike, as w does."""
+        return getattr(self.b, "power_plan", lambda: None)()
+
+    def power_rows(self, x, w, out) -> None:
+        """B's plan rows with weights w * f(x)."""
+        self.b.power_rows(x, w * np.asarray(self.f(x)), out)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,6 @@ def entropy_H(domain: DomainSpec, metric: Metric, eps):
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0):  # also refuses NaN
         raise ValueError("eps must be positive")
-    if metric.kind == "custom-table":
-        raise ValueError("entropy for custom-table metrics is not defined; declare holder/log-power")
     if metric.kind == "holder" and metric.scale == 0.0:
         return 0.0 if eps.ndim == 0 else np.zeros_like(eps)
     log_r = metric.log_radius(eps)

@@ -25,17 +25,18 @@ Per-term first and second moments are accumulated with merged
 materializes the tuples.  On the factored path a term keeps the r x r
 co-moment of w and the plug-in covariance is A S A^T with S r x r: no
 G x G array is formed unless something reads ``Z_hat``.  For r > 1 a
-block's co-moment comes from one product of w with a few probe rows,
-through the t-free factor's product plan (``gram_plan()``; every row a
-probe without one): for the gauss-conv monomials w_a w_b depends only on
-a + b, so the r x r Gram matrix gathers from r x P products.
+block's moments come from one product of weighted power rows, gathered
+by the t-free factor's ``PowerPlan`` (``power_plan()``; without one, the
+trivial plan on the filled w): the gauss-conv rows are c v^alpha with
+c = w e^(-kappa |v|^2), so every sum a block needs is a weighted power
+sum, and the runner never forms the r x block slab of w.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -147,7 +148,8 @@ class CovarianceModel:
     the grid.  Given ``Z_hat``, A is the identity (None) and S is Z_hat.
     On the factored path A is the first factor over the grid (G x r) and
     S is r x r; ``Z_hat`` is then formed on first read, for the export
-    and for callers that want the G x G matrix."""
+    and for callers that want the G x G matrix, in row tiles that OpenBLAS
+    runs on one thread, so its bits do not depend on the thread count."""
 
     def __init__(self, t_grid: np.ndarray, Z_hat: Optional[np.ndarray] = None, *,
                  sigma_plus_sq: float, A: Optional[np.ndarray] = None,
@@ -161,8 +163,18 @@ class CovarianceModel:
     @property
     def Z_hat(self) -> np.ndarray:
         if self._z_hat is None:
-            self._z_hat = _symmetrized((self.A @ self.S) @ self.A.T)
+            self._z_hat = _symmetrized(_row_tiles(_row_tiles(self.A, self.S), self.A.T))
         return self._z_hat
+
+
+def _row_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in row tiles of at most _ONE_THREAD_GEMM / (k n) rows of a,
+    each a product that OpenBLAS runs on one thread."""
+    step = max(1, _ONE_THREAD_GEMM // b.size)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,44 +220,67 @@ def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
     tm.merge_block(vals, full, mean_b)
 
 
-def _plan_moments(vals: np.ndarray, probes: np.ndarray, index: np.ndarray, xs: np.ndarray):
-    """(nb, row means, diagonal, co-moment) of a factored (r, nb) block W by
-    the factor's product plan, naming x of the first non-finite value.
+class PowerPlan(NamedTuple):
+    """How a factored block of rank r > 1 is folded without forming W = w B(x1).
 
-    Row 0 is centred in place, C0 = W0 - mu0 (mu0 its mean), and one
-    product prod = W [1; W[probes]]^T of shape (r, P + 1) is formed.  Its
-    column 0 holds the row sums.  Column 1 (probe 0, row 0) holds
-    sum W_k C0, which is the centred entry (k, 0) after the exact
-    correction for sum C0 != 0; adding mu0 sum W_k gives the raw sum
-    W_k W0 that the other entries gather.  Entry (j, k) is then the
-    gathered raw sum, ``prod.flat[index[j, k]]``, minus nb mean_j mean_k.
-    The diagonal is the co-moment's.  The product is summed in order over
-    column tiles of at most _ONE_THREAD_GEMM / (r (P + 1)) columns, which
-    OpenBLAS runs on one thread, so the bits do not depend on the BLAS
-    thread count; a tile's P + 1 rows are copied into one small buffer."""
-    r, nb = vals.shape
+    The runner's block buffer T has ``rows`` rows.  Whoever fills it (the
+    t-free factor's ``power_rows(x, w, out)``, or the trivial plan's fill)
+    writes every row but ``q_rows``; ``T[c_row]`` is c = W_0, the first row
+    of W.  The fold sets ``T[q_rows] = C0 * T[s_rows]`` with C0 = c - mean(c)
+    and forms one product G = T[y] T[l]^T, from which ``sums[k]`` gathers
+    sum W_k, ``cen[k]`` gathers sum W_k C0, and ``gram[j, k]`` the raw sum
+    W_j W_k from E = [G.ravel(), G.flat[cen] + mean(c) G.flat[sums]].  The
+    index arrays are read-only."""
+
+    rows: int
+    y: slice
+    l: slice
+    c_row: int
+    s_rows: slice
+    q_rows: slice
+    sums: np.ndarray
+    cen: np.ndarray
+    gram: np.ndarray
+
+
+def _plan_moments(buf: np.ndarray, plan: PowerPlan, xs: np.ndarray):
+    """(nb, row means, diagonal, co-moment) of a factored block of nb tuples
+    from the buffer ``buf`` laid out by ``plan``, naming x of the first
+    non-finite value.
+
+    C0 = c - mu0 (mu0 the mean of c = W_0) is formed explicitly, and sum C0
+    and sum C0^2 are taken from it.  Row and column 0 of the co-moment are
+    centred, sum W_k C0 - sum W_k * sum C0 / nb; every other entry is the
+    gathered raw sum minus nb mean_j mean_k.  The product is summed in
+    order over column tiles of at most _ONE_THREAD_GEMM / (|y| |l|) columns,
+    which OpenBLAS runs on one thread, so the bits do not depend on the
+    BLAS thread count."""
+    nb = buf.shape[1]
+    c = buf[plan.c_row]
     with np.errstate(invalid="ignore"):
-        mu0 = vals[0].mean()
-    if not np.isfinite(mu0):  # before the centring, which would hide where row 0 failed
-        _name_nonfinite(vals, xs, None)
-    vals[0] -= mu0
-    step = max(1, _ONE_THREAD_GEMM // (r * (len(probes) + 1)))
-    buf, prod = np.empty((len(probes) + 1) * min(step, nb)), 0.0
+        mu0 = c.mean()
+    if not np.isfinite(mu0):
+        _name_nonfinite(buf[plan.c_row:plan.c_row + 1], xs, None)
+    c0 = c - mu0
+    np.multiply(buf[plan.s_rows], c0, out=buf[plan.q_rows])
+    y, low = buf[plan.y], buf[plan.l]
+    step = max(1, _ONE_THREAD_GEMM // (len(y) * len(low)))
+    step = -(-nb // -(-nb // step))   # the same number of tiles, of even width
+    prod = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, nb, step):
-            tile = vals[:, lo:lo + step]
-            rows = buf[:(len(probes) + 1) * tile.shape[1]].reshape(-1, tile.shape[1])
-            rows[0] = 1.0
-            rows[1:] = tile[probes]   # np.take would copy the whole tile first
-            prod = prod + tile @ rows.T
-    sums = prod[:, 0]
+            prod = prod + y[:, lo:lo + step] @ low[:, lo:lo + step].T
+    flat = prod.ravel()
+    sums, cen = flat[plan.sums], flat[plan.cen]
     if not np.all(np.isfinite(sums)):
-        _name_nonfinite(vals, xs, None)
-    centred0 = prod[:, 1] - sums * (sums[0] / nb)
-    prod[:, 1] += mu0 * sums
+        _name_nonfinite(buf, xs, None)
+    sum_c0 = c0.sum()
+    delta = sum_c0 / nb
+    centred0 = cen - sums * delta
+    centred0[0] = np.einsum("i,i->", c0, c0) - sum_c0 * delta
     mean_b = sums / nb
-    mean_b[0] += mu0
-    m2 = prod.ravel()[index] - nb * np.outer(mean_b, mean_b)
+    mean_b[0] = mu0 + delta
+    m2 = np.concatenate([flat, cen + mu0 * sums])[plan.gram] - nb * np.outer(mean_b, mean_b)
     m2[0] = m2[:, 0] = centred0
     return nb, mean_b, m2.diagonal().copy(), m2
 
@@ -260,18 +295,33 @@ def _fill_of(b: Callable) -> Callable:
     return lambda x, w, out: np.multiply(np.reshape(b(x), out.shape), w, out=out, dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
+def _trivial_plan(r: int) -> PowerPlan:
+    """The plan of a t-free factor without one: T = [1; C0; W], so the
+    product [1; C0; W] W^T holds the row sums, sum W_k C0 and the raw Gram
+    matrix (its lower triangle, read symmetrically)."""
+    j, k = np.indices((r, r))
+    index = [np.arange(r), r + np.arange(r), (2 + np.maximum(j, k)) * r + np.minimum(j, k)]
+    for arr in index:
+        arr.flags.writeable = False
+    return PowerPlan(r + 2, slice(0, r + 2), slice(2, r + 2), 2, slice(0, 1), slice(1, 2), *index)
+
+
 def _runner_plan(b: Callable, r: int):
-    """(probes, index) for ``_plan_moments`` of an r-row t-free factor b:
-    ``b.gram_plan()``, with Gram[j, k] = (W @ W[probes].T).flat[index[j, k]]
-    for W = w * b(x), or the trivial plan (every row a probe, the lower
-    triangle of W @ W.T) for a b without one; the index is shifted past
-    the row-sum column that the runner's product puts first."""
-    plan = getattr(b, "gram_plan", lambda: None)()
-    if plan is None:
-        j, k = np.indices((r, r))
-        plan = np.arange(r), np.maximum(j, k) * r + np.minimum(j, k)
-    probes, index = plan
-    return probes, index + index // len(probes) + 1
+    """(plan, rows) for ``_plan_moments`` of an r-row t-free factor b, with
+    ``rows(x, w, out)`` filling the buffer: ``b.power_plan()`` and
+    ``b.power_rows``, or for a b without them the trivial plan, whose rows
+    are a row of ones and w * b(x) written by ``_fill_of(b)``."""
+    plan = getattr(b, "power_plan", lambda: None)()
+    if plan is not None:
+        return plan, b.power_rows
+    fill = _fill_of(b)
+
+    def rows(x, w, out):
+        out[0] = 1.0
+        fill(x, w, out[2:])
+
+    return _trivial_plan(r), rows
 
 
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
@@ -279,8 +329,9 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
     the factored path, else None.  ``first.factors()`` returns (a, b) for an
     exact K(t, s) = sum_k a_k(t) b_k(s), or (a, b, eps) for an expansion
     within eps of K on the domain box, or None; a(t) has shape (G,) or
-    (G, r), b(s) shape (n,) or (r, n), ``fill`` is ``_fill_of(b)`` and
-    ``plan`` is ``_runner_plan(b, r)`` for r > 1, else None.
+    (G, r), b(s) shape (n,) or (r, n).  For r > 1, (plan, fill) is
+    ``_runner_plan(b, r)``; for r = 1 ``fill`` is ``_fill_of(b)`` and plan
+    None.
     The path is taken while r <= G/2, G the domain's grid size (so it does
     not depend on the points passed), and an inexact expansion only on
     grids inside the box."""
@@ -298,7 +349,8 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
     if np.any(bad):
         raise ValueError(f"non-finite first factor at t={grid[np.argmax(bad)]}")
     r = a_t.shape[1]
-    return a_t, _fill_of(b), eps, _runner_plan(b, r) if r > 1 else None
+    plan, fill = _runner_plan(b, r) if r > 1 else (None, _fill_of(b))
+    return a_t, fill, eps, plan
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
@@ -318,20 +370,22 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
 
     ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
     evaluates once for all its terms.  On the factored path (fac not None)
-    the same block loop, with the same draws in the same order, fills the
-    r-vector w = B(x1) * tail straight into the slab, one tile of r rows.
-    For r > 1 the block's moments come from one product against the
-    factor's probe rows (``_plan_moments``) and give the r x r co-moment M2_w, whose diagonal is the block's own; a
-    1 x 1 co-moment is its diagonal, which the general fold forms.
-    The mean A mu_w and m2_diag = rowwise((A M2_w) o A), one gemm, are
-    expanded over the grid; M2_w is kept with A.
+    the same block loop, with the same draws in the same order, works on
+    the r-vector w = B(x1) * tail.  For r = 1 it is filled straight into
+    the slab and folded by the general fold (a 1 x 1 co-moment is its
+    diagonal).  For r > 1 the slab is the plan's buffer of weighted power
+    rows (``_runner_plan``), filled from x1 and the tail, and the block's
+    moments, with the r x r co-moment M2_w, come from one product of those
+    rows (``_plan_moments``); for the gauss-conv factor W itself is never
+    formed.  The mean A mu_w and m2_diag = rowwise((A M2_w) o A), one gemm,
+    are expanded over the grid; M2_w is kept with A.
     """
     plan = None
     if fac is None:
         rows, full = grid.shape[0], collect_cov
     else:
         a_t, fill, eps, plan = fac
-        rows, full = a_t.shape[1], False
+        rows, full = a_t.shape[1] if plan is None else plan.rows, False
     step = rows if full or fac is not None else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
     tiles = [TermMoments(m=m, theta=theta) for _ in range(0, rows, step)]
     slab = np.empty(rows * min(count, BLOCK_REPLICATES)) if len(tiles) == 1 else None
@@ -351,7 +405,7 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
             if plan is None:
                 _fold_tile(tm, vals, full, xs, pts)
             else:
-                tm.merge(*_plan_moments(vals, *plan, xs))
+                tm.merge(*_plan_moments(vals, plan, xs))
     tm = TermMoments(m=m, theta=theta, count=count, m2=tiles[0].m2,
                      mean=np.concatenate([t.mean for t in tiles]),
                      m2_diag=np.concatenate([t.m2_diag for t in tiles]))

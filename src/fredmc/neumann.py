@@ -10,7 +10,6 @@ studies' reference values."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,17 +114,3 @@ def damped_solution_oracle(spec: ProblemSpec, lam: float, t_grid):
     y, q, diff = nystrom(spec, t, lambda A, f: _resolvent(A, f, lam))
     return np.asarray(spec.forcing(t), dtype=float) + y, q, diff
 
-
-def export_power_csv(path, spec: ProblemSpec, t_grid, m_list) -> None:
-    """Write S^m[f] values: columns t_1..t_dim, m, value (one solve for
-    every m)."""
-    t = _as_points(spec, t_grid)
-    if min(m_list, default=1) < 1:
-        raise ValueError("m must be >= 1")
-    terms = nystrom(spec, t, lambda A, f: _powers(A, f, max(m_list, default=1)))[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"t_{i + 1}" for i in range(spec.domain.dim)] + ["m", "value"])
-        for m in m_list:
-            for row, v in zip(t, terms[:, m - 1]):
-                writer.writerow([repr(float(c)) for c in row] + [m, repr(float(v))])

@@ -31,9 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetError, ContractivityError
-from .rng import TAG_DISTANCE, TAG_NORM_MC, substream
+from .rng import TAG_NORM_MC, substream
 
-DISTANCE_SAMPLE = 1000   # sample size for the custom-table distance
 _ROW_CHUNK_EVALS = 2_000_000  # kernel values per row chunk (or runner tile) of a grid x sample array
 _NYSTROM_NODES = 48 ** 2      # Gauss-Legendre nodes per solve: a node matrix of at most 42 MB
 _NORM_GRID = {1: 1025, 2: 65}  # points per axis of the fixed grid the power norms' sup_t covers
@@ -139,11 +138,9 @@ class Metric:
     kind "holder":    d = scale * |t-s|^exponent
     kind "log-power": d = scale * min(|log|t-s||^-exponent, 1) for |t-s| < 1,
                       and scale (its largest value) from |t-s| = 1 on
-    kind "custom-table": d estimated by sampling |K(t,x)-K(s,x)| / R(x)
 
     ``at_radius`` maps a Euclidean separation r to d, and ``log_radius``
-    maps d back to log r; both are the holder or log-power formula, so a
-    custom-table metric must not reach them.
+    maps d back to log r.
     """
 
     kind: str
@@ -151,7 +148,7 @@ class Metric:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("holder", "log-power", "custom-table"):
+        if self.kind not in ("holder", "log-power"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
 
     def at_radius(self, r):
@@ -385,15 +382,4 @@ def natural_distance(spec: ProblemSpec, t, s) -> float:
     """Natural semi-distance d(t,s) between two parameter points."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if spec.metric.kind != "custom-table":
-        return float(spec.metric.at_radius(np.sqrt(np.sum((t - s) ** 2))))
-    # custom-table: sampled sup of kernel increments over the envelope
-    rng = substream(spec.mu.seed_stream_id, TAG_DISTANCE)
-    xs = spec.mu.sample(spec.domain, DISTANCE_SAMPLE, rng)
-    kt = np.asarray(spec.kernel(t[None, :], xs), dtype=float)
-    ks = np.asarray(spec.kernel(s[None, :], xs), dtype=float)
-    R = np.asarray(spec.envelope_R(xs), dtype=float)
-    good = R > 0
-    if not np.any(good):
-        return 0.0
-    return float(np.max(np.abs(kt[good] - ks[good]) / R[good]))
+    return float(spec.metric.at_radius(np.sqrt(np.sum((t - s) ** 2))))

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ConfigError
+from .estimator import PowerPlan
 from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec, gauss_legendre
 
 KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
@@ -231,37 +232,83 @@ def _monomial_steps(dim: int, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(steps)
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_plan(dim: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(probes, index) of the Gram matrix of the monomials of
-    ``_monomial_steps`` (times one common weight): v^alpha v^beta depends
-    only on alpha + beta, so with the constant and the degree-(p-1)
-    monomials as probes every entry is one of the r x len(probes)
-    products, Gram[j, k] = (B @ B[probes].T).flat[index[j, k]].  A sum of
-    degree up to p-1 pairs with the constant; above it, greedily over the
-    axes, with a degree-(p-1) probe below it, leaving a degree 1..p-1 rest.
-    The index is symmetric and probes[0] = 0; both arrays are read-only."""
+# Power-sum plan of the gauss-conv monomials.  With c = w e^(-kappa |v|^2)
+# the rows of W = w B(x) are c v^alpha, |alpha| < p, so a block needs the
+# weighted power sums sum c v^g and sum c C0 v^g (|g| < p, C0 = c - mean c)
+# and sum c^2 v^g (p <= |g| <= 2p - 2); the raw sums of lower degree are
+# sum c C0 v^g + mean(c) sum c v^g.  Each exponent splits per axis as
+# g = s a + lam with lam_i < s, so all three sets are entries of one
+# product Y L^T: Y holds the weight rows c V^a, c C0 V^a and c^2 V^a
+# (V = v^s, a in graded order), L the low monomials v^lam.
+_ROW_COST = 4  # products per tuple that forming one row costs, in the split rule
+
+
+def _split_shape(dim: int, p: int, s: int) -> tuple[int, int, int, int, int]:
+    """(|L|, low, gram, top, n_low) for split s <= p - 1: L has s^dim rows;
+    the c and c C0 rows are the V monomials of degree <= low = (p - 1) // s
+    (n_low of them), the c^2 rows those of degree gram..top, with
+    gram = ceil((p - dim (s - 1)) / s) <= 2 low and top = (2p - 2) // s."""
+    low, top = (p - 1) // s, (2 * p - 2) // s
+    n_low = math.comb(low + dim, dim)
+    return s ** dim, low, max(0, -(-(p - dim * (s - 1)) // s)), top, n_low
+
+
+def _split(dim: int, p: int) -> int:
+    """The split s of degree-p monomials in ``dim`` variables, p >= 2: the
+    fewest products |Y| |L| per tuple plus _ROW_COST per row formed."""
+    def cost(s):
+        n_l, _, gram, top, n_low = _split_shape(dim, p, s)
+        n_g = math.comb(top + dim, dim) - math.comb(gram - 1 + dim, dim)   # degrees gram..top
+        return (n_g + 2 * n_low) * n_l + _ROW_COST * (n_l + n_g + 2 * n_low)
+    return min(range(1, p), key=cost)
+
+
+def _exponents(dim: int, p: int) -> np.ndarray:
+    """The exponents of the monomials of ``_monomial_steps(dim, p)``, in order."""
     alphas = [np.zeros(dim, dtype=np.intp)]
     for parent, axis, _ in _monomial_steps(dim, p):
         alphas.append(alphas[parent] + np.eye(dim, dtype=np.intp)[axis])
-    alphas = np.array(alphas)
-    degree = alphas.sum(axis=1)
-    probes = np.concatenate([[0], np.flatnonzero(degree == p - 1)]) if p > 1 else np.zeros(1, np.intp)
+    return np.array(alphas)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_plan(dim: int, p: int) -> tuple[int, int, tuple, PowerPlan]:
+    """(s, low, recipe, plan) of the rank-r monomials of degree < p in ``dim``
+    variables, p >= 2.  The buffer holds L (s^dim rows, lam in row-major
+    order), then Y = [c^2 V^a; c C0 V^a; c V^a].  ``recipe`` gives each
+    c^2 row, in order, as (i, j, -1), the product of c V^a rows i and j
+    (degree <= 2 low), or (i, -1, axis), c^2 row i times V_axis."""
+    n_l, low, gram, top, n_low = _split_shape(dim, p, s := _split(dim, p))
+    alphas, highs = _exponents(dim, p), _exponents(dim, top + 1)
+    high = highs[highs.sum(axis=1) >= gram]
+    n_g = len(high)
+    base = (2 * p - 1) ** np.arange(dim)   # exponents below 2p - 1: one integer key each
+
+    def where(keys, g):
+        order = np.argsort(keys)
+        return order[np.minimum(np.searchsorted(keys[order], g @ base), len(keys) - 1)]
+
+    def entry(g, rows_of, offset):   # flat index of sum weight V^(g // s) v^(g % s) in G
+        return (offset + where(rows_of @ base, g // s)) * n_l + (g % s) @ (s ** np.arange(dim)[::-1])
+
+    # a = a1 + a2 with |a1|, |a2| <= low (a1 filled greedily over the axes), or a's parent times V_axis
+    pair = high.sum(axis=1) <= 2 * low
+    a1 = np.minimum(high, np.maximum(low - (np.cumsum(high, axis=1) - high), 0))
+    axis = dim - 1 - np.argmax(high[:, ::-1] > 0, axis=1)   # the last axis a uses
+    parent = where(high @ base, high - np.eye(dim, dtype=np.intp)[axis])
+    recipe = zip(np.where(pair, where(highs[:n_low] @ base, a1), parent).tolist(),
+                 np.where(pair, where(highs[:n_low] @ base, high - a1), -1).tolist(),
+                 np.where(pair, -1, axis).tolist())
     total = alphas[:, None, :] + alphas[None, :, :]
-    before = np.cumsum(total, axis=-1) - total   # degree of the sum on the earlier axes
-    rho = np.clip(np.minimum(total, p - 1 - before), 0, None)
-    rho[total.sum(axis=-1) <= p - 1] = 0
-    base = p ** np.arange(dim)   # exponents below p: one integer key per monomial
-    order = np.argsort(alphas @ base)
-
-    def where(a):
-        return order[np.searchsorted((alphas @ base)[order], a @ base)]
-
-    column = np.searchsorted(probes, where(rho))   # probes ascend: the constant, then graded order
-    index = where(total - rho) * len(probes) + column
-    for arr in (probes, index):
+    n_y = n_g + 2 * n_low
+    gram_index = np.where(total.sum(axis=-1) < p, n_y * n_l + where(alphas @ base, total),
+                          entry(total, high, 0))
+    index = [entry(alphas, highs[:n_low], n_g + n_low), entry(alphas, highs[:n_low], n_g), gram_index]
+    for arr in index:
         arr.flags.writeable = False
-    return probes, index
+    c_row = n_l + n_g + n_low
+    return s, low, tuple(recipe), PowerPlan(c_row + n_low, slice(n_l, c_row + n_low), slice(0, n_l), c_row,
+                                       slice(c_row, c_row + n_low), slice(n_l + n_g, c_row), *index)
 
 
 def _gauss_factors(kernel, rest, side: str):
@@ -341,10 +388,41 @@ class GaussFactor:
         """out[...] = w * B(x), out of shape (r, n); side "s" only."""
         self._rows(x, self.p, False, out, w)
 
-    def gram_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probes, index) with Gram[j, k] = (W @ W[probes].T).flat[index[j, k]]
-        for W = w * B(x) with any weights w; side "s" only (``_monomial_plan``)."""
-        return _monomial_plan(len(self.centre), self.p)
+    def power_plan(self) -> PowerPlan:
+        """The runner's plan for blocks of W = w * B(x); side "s" only
+        (``_power_plan``)."""
+        return _power_plan(len(self.centre), self.p)[3]
+
+    def power_rows(self, x, w, out) -> None:
+        """Fill the (plan.rows, n) buffer ``out`` from points x and weights
+        w: every row of ``power_plan()`` but its q rows; side "s" only."""
+        s, low, recipe, plan = _power_plan(len(self.centre), self.p)
+        x = np.asarray(x, dtype=float)
+        n, dim = x.shape
+        # v_i^0 .. v_i^max(s-1, 2) per axis, v = x - centre; in 1-D from s = 3 on written as L itself
+        powers = [out[:s] if dim == 1 and s > 2 else np.empty((max(s, 3), n)) for _ in range(dim)]
+        for i, pw in enumerate(powers):
+            pw[0] = 1.0
+            np.subtract(x[:, i], self.centre[i], out=pw[1])
+            for k in range(2, len(pw)):
+                np.multiply(pw[k - 1], pw[1], out=pw[k])
+        c = out[plan.c_row]   # w e^(-kappa |v|^2), |v|^2 summed over the axes in order
+        np.multiply(sum((pw[2] for pw in powers[1:]), powers[0][2]), -self.kappa, out=c)
+        np.exp(c, out=c)
+        c *= w
+        acc = powers[0][:s]
+        for i, pw in enumerate(powers[1:], 2):
+            dst = out[:s ** i].reshape(-1, s, n) if i == dim else np.empty((s ** (i - 1), s, n))
+            np.multiply(acc[:, None, :], pw[None, :s, :], out=dst)
+            acc = dst.reshape(-1, n)
+        if dim == 1 and s < 3:
+            out[:s] = acc
+        v_s = [pw[s - 1] * pw[1] for pw in powers]   # V_i = v_i^s
+        weighted, squared = out[plan.s_rows], out[plan.y.start:plan.q_rows.start]
+        for k, (parent, axis, _) in enumerate(_monomial_steps(dim, low + 1), 1):
+            np.multiply(weighted[parent], v_s[axis], out=weighted[k])
+        for row, (i, j, axis) in zip(squared, recipe):
+            np.multiply(weighted[i] if axis < 0 else squared[i], weighted[j] if axis < 0 else v_s[axis], out=row)
 
 
 @dataclass(frozen=True)

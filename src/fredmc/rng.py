@@ -18,7 +18,6 @@ TAG_DERIVATIVE = 3
 TAG_GEOMETRIC = 4
 TAG_GAUSS_SIM = 5
 TAG_NORM_MC = 6
-TAG_DISTANCE = 7
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

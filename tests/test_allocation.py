@@ -15,13 +15,6 @@ def quarter_pnt():
     return _pnt_from_ru([4.0 ** -m for m in range(1, 7)])
 
 
-def test_r_alpha_sum_examples(quarter_pnt):
-    # two-term sums with r_k = 4^-k: sqrt(r_1) = 0.5, sqrt(r_2) = 0.25
-    assert fm.r_alpha_sum(quarter_pnt, 0.5, 2) == pytest.approx(0.5 + np.sqrt(2) * 0.25, rel=1e-12)
-    assert fm.r_alpha_sum(quarter_pnt, -0.5, 2) == pytest.approx(0.5 + 0.25 / np.sqrt(2), rel=1e-12)
-    assert fm.r_alpha_sum(quarter_pnt, 3.7, 1) == pytest.approx(0.5, rel=1e-12)
-
-
 def test_optimal_allocation_example(quarter_pnt):
     alloc = fm.optimal_allocation(quarter_pnt, 2, 100)
     assert alloc.theta == pytest.approx([0.585786, 0.207107], abs=1e-6)
@@ -39,27 +32,6 @@ def test_single_term_allocation(quarter_pnt):
 def test_budget_error_lists_minimum(quarter_pnt):
     with pytest.raises(fm.BudgetError, match="minimum 21"):
         fm.optimal_allocation(quarter_pnt, 6, 20)
-
-
-def test_theorem11_bound_example(quarter_pnt):
-    upper, lower = fm.theorem11_bound(quarter_pnt, 2, 100, 1.0)
-    lead = fm.r_alpha_sum(quarter_pnt, 0.5, 2) * fm.r_alpha_sum(quarter_pnt, -0.5, 2)
-    assert lead / 100 == pytest.approx(0.005777, abs=1e-6)
-    assert upper >= lead / 100
-    assert lower <= lead / 100
-    alloc = fm.optimal_allocation(quarter_pnt, 2, 100)
-    assert lower <= alloc.phi_predicted * (1 + 10 / 100)
-
-
-def test_theorem11_zero_forcing(quarter_pnt):
-    assert fm.theorem11_bound(quarter_pnt, 2, 100, 0.0) == (0.0, 0.0)
-
-
-def test_theorem11_scaling(quarter_pnt):
-    # the 1/n term dominates: growing n tenfold shrinks the bound ~tenfold
-    up3, _ = fm.theorem11_bound(quarter_pnt, 2, 10 ** 3, 1.0)
-    up4, _ = fm.theorem11_bound(quarter_pnt, 2, 10 ** 4, 1.0)
-    assert 9.9 <= up3 / up4 <= 10.1
 
 
 def test_theta_cost_identity(quarter_pnt):

@@ -19,7 +19,7 @@ from fredmc import estimator
 from fredmc.estimator import (BLOCK_REPLICATES, _chain_tail, _first_factors, _plan_moments, _run_term,
                               _runner_plan)
 from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
-from fredmc.registry import (ConstFunc, GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest,
+from fredmc.registry import (ConstFunc, GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest, _exponents,
                              _cheb_rest_dt)
 from fredmc.rng import TAG_SOLVE, substream
 
@@ -608,26 +608,38 @@ def _plan_factor(case):
     return b, len(b(x[:1])), x
 
 
+def _plan_buffer(b, r, x, w):
+    """(plan, buffer) of the runner's fold of r-row factor b at points x, weights w."""
+    plan, rows = _runner_plan(b, r)
+    buf = np.empty((plan.rows, len(x)))
+    rows(x, w, buf)
+    return plan, buf
+
+
 @pytest.mark.parametrize("case, rank, probes", [("1d", 16, 2), ("2d", 210, 21), ("3d", 165, 46),
                                                 ("times-forcing", 16, 2)])
 def test_gram_plan_gathers_the_gram_matrix(case, rank, probes):
-    # w_a w_b depends only on a + b for the monomial rows w = w(x) B(x):
-    # the r x P product against the probe rows (the constant and the
-    # degree-(p-1) monomials) holds every entry of the r x r Gram matrix
+    # the weighted power sums of w(x) B(x) hold every entry of the r x r
+    # Gram matrix: with C0 = c (uncentred) the product T[y] T[l]^T gathers
+    # it, from no more products per tuple than the r x (P + 1) of the probe
+    # plan it replaced (P probes: the constant and the degree-(p-1) rows)
     b, r, x = _plan_factor(case)
-    probe_rows, index = b.gram_plan()
-    assert (r, len(probe_rows)) == (rank, probes) and probe_rows[0] == 0
-    assert np.array_equal(index, index.T)
     for w in (1.0, np.random.default_rng(8).normal(size=len(x))):
         vals = np.empty((r, len(x)))
         b.fill(x, w, vals)
         gram = vals @ vals.T
-        gathered = (vals @ vals[probe_rows].T).ravel()[index]
+        plan, buf = _plan_buffer(b, r, x, w)
+        assert r == rank and plan is b.power_plan() and plan.rows < r + 2
+        assert len(buf[plan.y]) * len(buf[plan.l]) <= rank * (probes + 1)
+        np.multiply(buf[plan.s_rows], buf[plan.c_row], out=buf[plan.q_rows])
+        flat = (buf[plan.y] @ buf[plan.l].T).ravel()
+        gathered = np.concatenate([flat, flat[plan.cen]])[plan.gram]
+        assert np.array_equal(gathered, gathered.T)
         assert np.max(np.abs(gathered - gram)) <= 4 * np.finfo(float).eps * np.max(np.abs(gram))
 
 
 class _NoPlan:
-    """A t-free factor without ``gram_plan``: the runner takes the trivial plan."""
+    """A t-free factor without ``power_plan``: the runner takes the trivial plan."""
 
     def __init__(self, b):
         self.b = b
@@ -639,9 +651,10 @@ class _NoPlan:
 @pytest.mark.parametrize("case", ["1d", "2d", "times-forcing"])
 @pytest.mark.parametrize("planned", [True, False])
 def test_plan_moments_match_the_centred_gram(case, planned):
-    # the block's mean, diagonal and co-moment from one probe product agree
-    # with the centred Gram matrix, with the factor's plan and with the
-    # trivial plan (every row a probe) alike; the diagonal is the co-moment's
+    # the block's mean, diagonal and co-moment from one product agree with
+    # the centred Gram matrix of W = w B(x), with the factor's power-sum
+    # plan (which never forms W) and with the trivial plan (W filled as L)
+    # alike; the diagonal is the co-moment's
     b, r, x = _plan_factor(case)
     w = 1.0 + 0.5 * np.random.default_rng(9).normal(size=len(x))
     vals = np.empty((r, len(x)))
@@ -649,9 +662,11 @@ def test_plan_moments_match_the_centred_gram(case, planned):
     ref = vals.astype(np.longdouble)
     ref -= ref.mean(axis=1)[:, None]
     ref = ref @ ref.T
-    probes, index = _runner_plan(b if planned else _NoPlan(b), r)
-    assert len(probes) == (r if not planned else len(b.gram_plan()[0]))
-    nb, mean, diag, m2 = _plan_moments(vals.copy(), probes, index, x)
+    plan, buf = _plan_buffer(b if planned else _NoPlan(b), r, x, w)
+    assert (plan is b.power_plan()) == planned
+    if not planned:
+        assert np.array_equal(buf[plan.l], np.multiply(np.reshape(b(x), (r, -1)), w))
+    nb, mean, diag, m2 = _plan_moments(buf, plan, x)
     assert nb == len(x) and np.array_equal(diag, np.diag(m2)) and np.array_equal(m2, m2.T)
     np.testing.assert_allclose(mean, vals.mean(axis=1), rtol=1e-13, atol=0.0)
     assert np.max(np.abs(m2 - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -659,25 +674,36 @@ def test_plan_moments_match_the_centred_gram(case, planned):
 
 def _var_reference(spec, budget, seed, monkeypatch):
     """(pointwise_var of a solve, the same from an np.longdouble centred
-    co-moment of the very blocks the runner folded)."""
+    co-moment of the blocks W = c v^alpha of the very points and weights
+    the runner folded, with c = w e^(-kappa |v|^2) as the factor rounds it)."""
     pnt = fm.power_norms(spec, 12)
     plan = fm.choose_truncation(pnt, spec.f_norm, 0.01)
     alloc = fm.optimal_allocation(pnt, plan.N, budget)
     grid = spec.domain.grid()
-    blocks, fold = [], estimator._plan_moments
+    blocks, runner_plan = [], estimator._runner_plan
 
-    def recording(vals, *args):
-        blocks.append(vals.copy())
-        return fold(vals, *args)
+    def recording(b, r):
+        fold, rows = runner_plan(b, r)
 
-    monkeypatch.setattr(estimator, "_plan_moments", recording)
+        def recorded(x, w, out):
+            blocks.append((np.array(x), np.broadcast_to(w, len(x)).copy()))
+            rows(x, w, out)
+        return fold, recorded
+
+    monkeypatch.setattr(estimator, "_runner_plan", recording)
     est = fm.solve_fredholm_mc(spec, plan, alloc, grid, seed)
-    monkeypatch.setattr(estimator, "_plan_moments", fold)
+    monkeypatch.setattr(estimator, "_runner_plan", runner_plan)
+    a_fac, b_fac, _ = spec.kernel.factors()
     a = _first_factors(spec.kernel, grid, spec.domain)[0].astype(np.longdouble)
+    alphas = _exponents(len(b_fac.centre), b_fac.p)
     var, used = np.zeros(len(grid), dtype=np.longdouble), 0
     for count in alloc.counts:
         k = -(-int(count) // BLOCK_REPLICATES)
-        w = np.concatenate(blocks[used:used + k], axis=1).astype(np.longdouble)
+        x = np.concatenate([x for x, _ in blocks[used:used + k]])
+        c = np.exp(-b_fac.kappa * np.sum((x - b_fac.centre) ** 2, axis=-1))
+        c *= np.concatenate([w for _, w in blocks[used:used + k]])
+        v = (x - b_fac.centre).astype(np.longdouble)
+        w = c.astype(np.longdouble) * np.prod(v[None, :, :] ** alphas[:, None, :], axis=-1)
         used += k
         w -= w.mean(axis=1)[:, None]
         var += np.einsum("gk,gk->g", a @ (w @ w.T), a) / ((count - 1) * count)
@@ -692,20 +718,22 @@ _PRECISION_CASES = {
 }
 
 
-def _plan_moments_uncentred(vals, probes, index, xs):
-    """The plan's fold with every entry from raw sums, row 0 not centred."""
-    nb = vals.shape[1]
-    prod = vals @ np.vstack([np.ones(nb), vals[probes]]).T
-    mean = prod[:, 0] / nb
-    m2 = prod.ravel()[index] - nb * np.outer(mean, mean)
+def _plan_moments_uncentred(rows, plan, xs):
+    """The plan's fold with every entry from raw sums: C0 = c, not centred."""
+    nb = rows.shape[1]
+    np.multiply(rows[plan.s_rows], rows[plan.c_row], out=rows[plan.q_rows])
+    flat = (rows[plan.y] @ rows[plan.l].T).ravel()
+    mean = flat[plan.sums] / nb
+    m2 = np.concatenate([flat, flat[plan.cen]])[plan.gram] - nb * np.outer(mean, mean)
     return nb, mean, m2.diagonal().copy(), m2
 
 
 @pytest.mark.parametrize("case", list(_PRECISION_CASES))
 def test_factored_variance_matches_an_extended_precision_reference(case, monkeypatch):
-    # entries outside row and column 0 come from raw sums, so row 0 (the
-    # exponential row, nearly constant when kappa is small) is centred
-    # before the product: without that, the near-flat field loses digits
+    # entries outside row and column 0 come from raw power sums, so the
+    # exponential row c (nearly constant when kappa is small) is centred,
+    # C0 = c - mean(c), before its sums: without that, the near-flat field
+    # loses digits
     params, budget = _PRECISION_CASES[case]
     spec = fm.build_problem("gauss-conv", {"forcing": {"kind": "const", "value": 1.0}, **params})
     var, ref = _var_reference(spec, budget, 3, monkeypatch)
@@ -718,10 +746,11 @@ def test_factored_variance_matches_an_extended_precision_reference(case, monkeyp
 
 
 def test_plan_block_moments_do_not_depend_on_blas_threads():
-    # the probe product is summed over column tiles that OpenBLAS runs on
-    # one thread, at r = 16 (P + 1 = 3) and r = 210 (P + 1 = 22), on full
-    # and partial blocks: the block moments keep their bytes at 1 and 2
-    # threads (a product over the whole block moved bits at r = 210)
+    # the power-sum product is summed over column tiles that OpenBLAS runs
+    # on one thread, at r = 16 (a 6 x 8 product per tuple) and r = 210
+    # (50 x 25), on full and partial blocks: the block moments keep their
+    # bytes at 1 and 2 threads (a product over the whole block moved bits
+    # at r = 210)
     script = """
 import hashlib
 import numpy as np
@@ -733,11 +762,10 @@ for bounds in ([[0, 1]], [[0, 1], [0, 1]]):
     for nb in (16384, 9000, 3000):
         rng = np.random.default_rng(nb)
         x = rng.random((nb, len(bounds)))
-        r = len(b(x[:1]))
-        vals = np.empty((r, nb))
-        b.fill(x, 1.0 + rng.random(nb), vals)
-        probes, index = _runner_plan(b, r)
-        for part in _plan_moments(vals, probes, index, x)[1:]:
+        plan, rows = _runner_plan(b, len(b(x[:1])))
+        buf = np.empty((plan.rows, nb))
+        rows(x, 1.0 + rng.random(nb), buf)
+        for part in _plan_moments(buf, plan, x)[1:]:
             digest.update(part.tobytes())
 print(digest.hexdigest())
 """
@@ -748,6 +776,33 @@ print(digest.hexdigest())
                    OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
         return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True, timeout=300).stdout
+
+    assert run(1) == run(2)
+
+
+@pytest.mark.parametrize("config", [
+    # perfbench's solve-2d at a small budget: A is 441 x 210, so (A S) A^T
+    # is far above OpenBLAS's one-thread cutoff
+    {"problem": {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0, "forcing": {"kind": "const", "value": 1.0},
+                 "bounds": [[0, 1], [0, 1]]}, "grid": 21, "norms_method": "mc", "m_max": 8, "budget": 20_000},
+    {"problem": {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0}, "grid": 101, "budget": 20_000},
+], ids=["solve-2d", "gauss-1d"])
+def test_covariance_export_bits_do_not_depend_on_blas_threads(config, tmp_path):
+    # Z_hat = (A S) A^T is formed in one-thread row tiles: covariance.csv
+    # keeps its bytes at 1 and 2 threads on the factored path
+    src = str(Path(fm.__file__).resolve().parents[1])
+
+    def run(threads):
+        out = tmp_path / f"threads-{threads}"
+        path = tmp_path / f"cfg-{threads}.json"
+        path.write_text(json.dumps({**config, "band_method": "gauss-sim", "export_covariance": True,
+                                    "seed": 5, "out_dir": str(out)}))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-m", "fredmc", "solve", "--config", str(path)], env=env,
+                       capture_output=True, text=True, check=True, timeout=300)
+        assert json.loads((out / "manifest.json").read_text())["summary"]["first_factor"]["rank"] > 1
+        return (out / "covariance.csv").read_bytes()
 
     assert run(1) == run(2)
 

@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as P
 
 import fredmc as fm
 from fredmc.cli import _reference_solution
-from fredmc.neumann import export_power_csv, tail_bounds
+from fredmc.neumann import tail_bounds
 from fredmc.problem import PowerNormTable
 
 
@@ -221,14 +221,6 @@ def test_damped_oracle_looks_past_the_row_sum_bound():
     np.testing.assert_allclose(vals, fm.exact_solution(spec)(grid), rtol=0, atol=1e-14)
 
 
-def test_export_power_csv(tmp_path, ts_spec):
-    path = tmp_path / "powers.csv"
-    export_power_csv(path, ts_spec, np.linspace(0, 1, 3), [1, 2])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_1,m,value"
-    assert len(lines) == 1 + 3 * 2
-
-
 def _counting_kernel(spec):
     calls = []
 
@@ -236,24 +228,6 @@ def _counting_kernel(spec):
         calls.append(np.broadcast_shapes(np.shape(t)[:-1], np.shape(s)[:-1]))
         return spec.kernel(t, s)
     return dataclasses.replace(spec, kernel=kernel), calls
-
-
-def test_export_power_csv_builds_the_operator_once(tmp_path, gauss_spec):
-    # one Nystrom solve per Gauss-Legendre rule serves every m: the kernel
-    # calls do not depend on how many powers are written
-    grid = np.linspace(0, 1, 7)
-    spec, calls = _counting_kernel(gauss_spec)
-    export_power_csv(tmp_path / "one.csv", spec, grid, [3])
-    one = len(calls)
-    path = tmp_path / "powers.csv"
-    export_power_csv(path, spec, grid, [3, 1, 2])
-    assert len(calls) - one == one
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert [int(r[1]) for r in rows] == [3] * 7 + [1] * 7 + [2] * 7
-    for k, m in enumerate((3, 1, 2)):
-        expected = fm.apply_power_quadrature(gauss_spec, m, grid)
-        np.testing.assert_allclose([float(r[2]) for r in rows[7 * k:7 * (k + 1)]], expected,
-                                   rtol=1e-14, atol=0)
 
 
 def test_oracle_names_the_point_of_a_nonfinite_kernel_value(ts_spec):

@@ -302,14 +302,6 @@ def test_natural_distance_zero_at_equal_points(ts_spec):
         assert fm.natural_distance(spec, 0.37, 0.37) == 0.0
 
 
-def test_natural_distance_custom_table(ts_spec):
-    # |K(t,x)-K(s,x)| / R(x) = |t-s| x / x, exact for this kernel
-    spec = fm.ProblemSpec(domain=ts_spec.domain, mu=ts_spec.mu, kernel=ts_spec.kernel,
-                          forcing=ts_spec.forcing, envelope_R=ts_spec.envelope_R,
-                          metric=Metric("custom-table"))
-    assert fm.natural_distance(spec, 0.1, 0.4) == pytest.approx(0.3, abs=1e-12)
-
-
 def test_semi_distance_axioms(ts_spec):
     rng = np.random.default_rng(0)
     pts = rng.random((1000, 3))
