@@ -33,7 +33,7 @@ from .confidence import (empirical_quantile, export_band_json, integral_psi, non
                          simulate_sup_quantile, solution_psi, tail_shape_report)
 from .errors import (BandTooWide, BudgetError, ConfigError, ContractivityError,
                      NotPSD, UnsupportedDerivative)
-from .estimator import (EstimateTable, _fill_of, derivative_solve, estimate_covariance,
+from .estimator import (EstimateTable, derivative_solve, estimate_covariance,
                         estimate_parametric_integral, solve_fredholm_mc, solve_geometric)
 from .neumann import choose_truncation, damped_solution_oracle
 from .problem import ProblemSpec, power_norms
@@ -75,8 +75,8 @@ class ExperimentConfig:
 
 
 def validate_and_echo(raw: dict, echo: bool = True) -> ExperimentConfig:
-    """Normalize a raw config dict, filling defaults; echo the resolved
-    config to stdout as JSON.  No side effects beyond the echo."""
+    """Normalize a raw config dict, with defaults for absent fields; echo
+    the resolved config to stdout as JSON.  No side effects beyond the echo."""
     cfg = _normalize(raw)
     if echo:
         print(json.dumps(cfg.to_dict(), indent=2))
@@ -153,49 +153,6 @@ def _build_spec(cfg: ExperimentConfig) -> ProblemSpec:
     params = {k: v for k, v in cfg.problem.items() if k != "name"}
     params.setdefault("grid", cfg.grid)
     return build_problem(cfg.problem["name"], params)
-
-
-@dataclass(frozen=True)
-class KernelTimesForcing:
-    """g(t, x) = K(t, x) f(x): the first Neumann term as a parametric integral."""
-
-    spec: ProblemSpec
-
-    def __call__(self, t, x):
-        return np.asarray(self.spec.kernel(t, x)) * np.asarray(self.spec.forcing(x))
-
-    def factors(self):
-        """(A, B * f[, eps]) when the kernel has factors (A, B[, eps]), else None."""
-        fac = getattr(self.spec.kernel, "factors", lambda: None)()
-        if fac is None:
-            return None
-        a, b, *rest = fac
-        return (a, _TimesForcing(b, self.spec.forcing), *rest)
-
-
-@dataclass(frozen=True)
-class _TimesForcing:
-    """x -> B(x) * f(x), B of shape (n,) or (r, n)."""
-
-    b: object
-    f: object
-
-    def __call__(self, x):
-        return np.asarray(self.b(x)) * np.asarray(self.f(x))
-
-    def fill(self, x, w, out) -> None:
-        """out[...] = (B(x) * f(x)) * w, in the order of ``__call__``."""
-        _fill_of(self.b)(x, 1.0, out)
-        out *= np.asarray(self.f(x))
-        out *= w
-
-    def power_plan(self):
-        """B's plan, or None: f(x) weights every row alike, as w does."""
-        return getattr(self.b, "power_plan", lambda: None)()
-
-    def power_rows(self, x, w, out) -> None:
-        """B's plan rows with weights w * f(x)."""
-        self.b.power_rows(x, w * np.asarray(self.f(x)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +290,9 @@ def _run_point_estimate(cfg: ExperimentConfig, out, t0) -> int:
         summary = {"norms_accuracy": pnt.accuracy, "lam": cfg.lam, "M": M, "n_used": est.n_used}
         bands, cov = [], None
     elif cfg.mode == "integrate":
-        est = estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
-                                           grid, cfg.budget, cfg.seed, collect_covariance=collect)
+        # the first Neumann term S[f]: K with f as the runner's tail
+        est = estimate_parametric_integral(spec.kernel, spec.mu, spec.domain, grid, cfg.budget,
+                                           cfg.seed, collect_covariance=collect, weight=spec.forcing)
         bands, cov = _bands_for(cfg, spec, None, est, cfg.budget)
         summary = {}
     else:

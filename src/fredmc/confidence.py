@@ -383,9 +383,9 @@ def _chaining_majorant(psib: PsiFunction, domain: DomainSpec, metric: Metric,
     filled = h > 0.0
     v = v_star(psib, np.log(2.0) + h[filled])
     z_bar = sigma_psi + 9.0 * float(np.sum(v * np.diff(edges)[filled]))
-    if not np.isfinite(z_bar):
-        raise ValueError("the chaining majorant is not finite; the metric/profile pair is "
-                         "outside the band's hypotheses")
+    if not (np.isfinite(z_bar) and z_bar > 0.0):  # u(delta) is read off log Zbar
+        raise ValueError(f"the chaining majorant Zbar = {z_bar:.4g} is not finite and positive; "
+                         "the metric/profile pair is outside the band's hypotheses")
     return z_bar
 
 

@@ -9,16 +9,17 @@ evaluation grid.
 
 Every term's per-tuple field is ``first(t, x1) * tail(x1..xm)``: a first
 factor over the grid (K; dK/dt for the derivative; g for a parametric
-integral, which has no tail) times the t-free chain K(x1,x2)...f(x_m).
-One runner, ``_run_term``, draws the tuples, evaluates that product in
-grid row tiles and folds the block moments; its callers (the engines and
-the MC power norms) pick the factor, substreams and counts.
+integral) times the t-free chain K(x1,x2)...f(x_m).  A parametric
+integral is the first term, m = 1: its tail is its weight f(x1), or
+none.  One runner, ``_run_term``, draws the tuples, evaluates that
+product in grid row tiles and folds the block moments; its callers (the
+engines and the MC power norms) pick the factor, substreams and counts.
 A first factor with ``factors()``, meaning K(t, s) = sum_k A_k(t) B_k(s)
 (exact for constant and separable-poly kernels, a truncated Chebyshev
 series with a closed-form remainder bound for gauss-conv), makes the
 field A(t) w with one r-vector w = B(x1) * tail per tuple: the runner
 folds the moments of w and expands them over the grid, so no grid x
-tuple array is built.
+tuple array is built.  Only the runner multiplies the tail into B(x1).
 
 Per-term first and second moments are accumulated with merged
 (Welford-style) block co-moments, so plug-in covariance estimation never
@@ -27,7 +28,7 @@ co-moment of w and the plug-in covariance is A S A^T with S r x r: no
 G x G array is formed unless something reads ``Z_hat``.  For r > 1 a
 block's moments come from one product of weighted power rows, gathered
 by the t-free factor's ``PowerPlan`` (``power_plan()``; without one, the
-trivial plan on the filled w): the gauss-conv rows are c v^alpha with
+trivial plan on w itself): the gauss-conv rows are c v^alpha with
 c = w e^(-kappa |v|^2), so every sum a block needs is a weighted power
 sum, and the runner never forms the r x block slab of w.
 """
@@ -181,12 +182,12 @@ def _row_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the term runner
 
 
-def _chain_tail(kernel: Callable, forcing: Optional[Callable], xs: np.ndarray) -> np.ndarray:
+def _chain_tail(kernel: Optional[Callable], forcing: Optional[Callable], xs: np.ndarray) -> np.ndarray:
     """K(x1,x2)...K(x_{m-1},x_m) f(x_m) for xs of shape (n, m, dim); no f if
-    forcing is None.  The links are evaluated on stacked (k, n) pair arrays,
-    k = _LINK_EVALS // n links per kernel call (all m-1 links of a short
-    block in one call, one link per call from n = _LINK_EVALS / 2 on), and
-    multiplied left to right."""
+    forcing is None; 1 * f(x1) for m = 1, which reads no kernel.  The links
+    are evaluated on stacked (k, n) pair arrays, k = _LINK_EVALS // n links
+    per kernel call (all m-1 links of a short block in one call, one link
+    per call from n = _LINK_EVALS / 2 on), and multiplied left to right."""
     n, m = xs.shape[:2]
     c = np.ones(n) if m == 1 else None
     k = max(1, _LINK_EVALS // n)
@@ -223,8 +224,8 @@ def _fold_tile(tm: TermMoments, vals: np.ndarray, full: bool, xs: np.ndarray,
 class PowerPlan(NamedTuple):
     """How a factored block of rank r > 1 is folded without forming W = w B(x1).
 
-    The runner's block buffer T has ``rows`` rows.  Whoever fills it (the
-    t-free factor's ``power_rows(x, w, out)``, or the trivial plan's fill)
+    The runner's block buffer T has ``rows`` rows.  Whoever writes it (the
+    t-free factor's ``power_rows(x, w, out)``, or the trivial plan's rows)
     writes every row but ``q_rows``; ``T[c_row]`` is c = W_0, the first row
     of W.  The fold sets ``T[q_rows] = C0 * T[s_rows]`` with C0 = c - mean(c)
     and forms one product G = T[y] T[l]^T, from which ``sums[k]`` gathers
@@ -285,16 +286,6 @@ def _plan_moments(buf: np.ndarray, plan: PowerPlan, xs: np.ndarray):
     return nb, mean_b, m2.diagonal().copy(), m2
 
 
-def _fill_of(b: Callable) -> Callable:
-    """``b.fill(x, w, out)``, which writes w * b(x) into the (r, n) array
-    ``out``, or for a b without one a multiply of b(x) into ``out``, which
-    only reads what b returns (it may be cached or read-only)."""
-    fill = getattr(b, "fill", None)
-    if fill is not None:
-        return fill
-    return lambda x, w, out: np.multiply(np.reshape(b(x), out.shape), w, out=out, dtype=float)
-
-
 @functools.lru_cache(maxsize=None)
 def _trivial_plan(r: int) -> PowerPlan:
     """The plan of a t-free factor without one: T = [1; C0; W], so the
@@ -309,29 +300,28 @@ def _trivial_plan(r: int) -> PowerPlan:
 
 def _runner_plan(b: Callable, r: int):
     """(plan, rows) for ``_plan_moments`` of an r-row t-free factor b, with
-    ``rows(x, w, out)`` filling the buffer: ``b.power_plan()`` and
+    ``rows(x, w, out)`` writing the buffer: ``b.power_plan()`` and
     ``b.power_rows``, or for a b without them the trivial plan, whose rows
-    are a row of ones and w * b(x) written by ``_fill_of(b)``."""
+    are a row of ones and w * b(x) (b's array is only read)."""
     plan = getattr(b, "power_plan", lambda: None)()
     if plan is not None:
         return plan, b.power_rows
-    fill = _fill_of(b)
 
     def rows(x, w, out):
         out[0] = 1.0
-        fill(x, w, out[2:])
+        np.multiply(np.reshape(b(x), out[2:].shape), w, out=out[2:], dtype=float)
 
     return _trivial_plan(r), rows
 
 
 def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
-    """(A(grid) of shape (G, r), fill, eps, plan) when the first factor takes
+    """(A(grid) of shape (G, r), b, eps, plan) when the first factor takes
     the factored path, else None.  ``first.factors()`` returns (a, b) for an
     exact K(t, s) = sum_k a_k(t) b_k(s), or (a, b, eps) for an expansion
     within eps of K on the domain box, or None; a(t) has shape (G,) or
-    (G, r), b(s) shape (n,) or (r, n).  For r > 1, (plan, fill) is
-    ``_runner_plan(b, r)``; for r = 1 ``fill`` is ``_fill_of(b)`` and plan
-    None.
+    (G, r), b(s) shape (n,) or (r, n).  For r > 1, (plan, b) is
+    ``_runner_plan(b, r)``, whose b writes the plan's buffer; for r = 1
+    plan is None.
     The path is taken while r <= G/2, G the domain's grid size (so it does
     not depend on the points passed), and an inexact expansion only on
     grids inside the box."""
@@ -349,8 +339,8 @@ def _first_factors(first: Callable, grid: np.ndarray, domain: DomainSpec):
     if np.any(bad):
         raise ValueError(f"non-finite first factor at t={grid[np.argmax(bad)]}")
     r = a_t.shape[1]
-    plan, fill = _runner_plan(b, r) if r > 1 else (None, _fill_of(b))
-    return a_t, fill, eps, plan
+    plan, b = _runner_plan(b, r) if r > 1 else (None, b)
+    return a_t, b, eps, plan
 
 
 def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
@@ -360,33 +350,50 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
     m-tuples, the same tuples reused for every grid point; the field per
     tuple is ``first(t, x1) * tail(xs)``, or ``first`` alone if tail is None.
 
-    Per block the tail is evaluated once (1.0 if None) and each grid row
-    tile is one ``np.multiply`` of its first factor by the tail, which only
-    reads the kernel's array (it may be cached or read-only).  Without a
-    grid co-moment a tile has ``_ROW_CHUNK_EVALS // min(count,
-    BLOCK_REPLICATES)`` rows, a fresh product freed before the next tile's
-    kernel call, so no grid x block array is made; one tile reuses a slab.
-    Row moments do not depend on the other rows, so tiles keep every bit.
+    Per block the tail is evaluated once (1.0 if None) and passed to the
+    term's fold, picked once per term from ``fac``, which is
+    ``_first_factors(first, grid, domain)`` (evaluated once per engine):
 
-    ``fac`` is ``_first_factors(first, grid, domain)``, which the engine
-    evaluates once for all its terms.  On the factored path (fac not None)
-    the same block loop, with the same draws in the same order, works on
-    the r-vector w = B(x1) * tail.  For r = 1 it is filled straight into
-    the slab and folded by the general fold (a 1 x 1 co-moment is its
-    diagonal).  For r > 1 the slab is the plan's buffer of weighted power
-    rows (``_runner_plan``), filled from x1 and the tail, and the block's
-    moments, with the r x r co-moment M2_w, come from one product of those
-    rows (``_plan_moments``); for the gauss-conv factor W itself is never
-    formed.  The mean A mu_w and m2_diag = rowwise((A M2_w) o A), one gemm,
-    are expanded over the grid; M2_w is kept with A.
+    - grid tiles (fac None): each grid row tile is one ``np.multiply`` of
+      its first factor by the tail.  Without a grid co-moment a tile has
+      ``_ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES)`` rows, a fresh
+      product freed before the next tile's kernel call, so no grid x block
+      array is made; one tile reuses a slab.  Row moments do not depend on
+      the other rows, so tiles keep every bit.
+    - a rank-1 row: w = B(x1) * tail, multiplied into the 1 x block slab,
+      folded as a tile (a 1 x 1 co-moment is its diagonal).
+    - a power plan (r > 1): the slab is the plan's buffer of weighted
+      power rows, written from x1 and the tail, and the block's moments,
+      with the r x r co-moment M2_w, come from one product of those rows
+      (``_plan_moments``); for gauss-conv the r rows of w are never formed.
+
+    Every multiply only reads the kernel's arrays (they may be cached or
+    read-only).  On the factored paths the mean A mu_w and m2_diag =
+    rowwise((A M2_w) o A), one gemm, are expanded over the grid, and M2_w
+    is kept with A.
     """
-    plan = None
     if fac is None:
         rows, full = grid.shape[0], collect_cov
+        step = rows if full else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
+
+        def fold(tm, lo, xs, tail_b, out):
+            pts = grid[lo:lo + step]
+            _fold_tile(tm, np.multiply(first(pts[:, None, :], xs[None, :, 0, :]), tail_b, out=out,
+                                       dtype=float), full, xs, pts)
+    elif fac[3] is None:  # rank 1: no plan
+        a_t, b, eps, _ = fac
+        rows = step = 1
+
+        def fold(tm, lo, xs, tail_b, out):
+            vals = np.multiply(np.reshape(b(xs[:, 0, :]), out.shape), tail_b, out=out, dtype=float)
+            _fold_tile(tm, vals, False, xs, None)
     else:
-        a_t, fill, eps, plan = fac
-        rows, full = a_t.shape[1] if plan is None else plan.rows, False
-    step = rows if full or fac is not None else max(1, _ROW_CHUNK_EVALS // min(count, BLOCK_REPLICATES))
+        a_t, write_rows, eps, plan = fac
+        rows = step = plan.rows
+
+        def fold(tm, lo, xs, tail_b, out):
+            write_rows(xs[:, 0, :], tail_b, out)
+            tm.merge(*_plan_moments(out, plan, xs))
     tiles = [TermMoments(m=m, theta=theta) for _ in range(0, rows, step)]
     slab = np.empty(rows * min(count, BLOCK_REPLICATES)) if len(tiles) == 1 else None
     for done in range(0, count, BLOCK_REPLICATES):
@@ -396,16 +403,7 @@ def _run_term(count: int, m: int, grid: np.ndarray, rng: np.random.Generator,
         tail_b = 1.0 if tail is None else tail(xs)
         out = None if slab is None else slab[:rows * nb].reshape(rows, nb)
         for i, tm in enumerate(tiles):
-            pts = grid[i * step:(i + 1) * step] if fac is None else None
-            if fac is None:
-                vals = np.multiply(first(pts[:, None, :], xs[None, :, 0, :]), tail_b, out=out, dtype=float)
-            else:
-                vals = out
-                fill(xs[:, 0, :], tail_b, out)
-            if plan is None:
-                _fold_tile(tm, vals, full, xs, pts)
-            else:
-                tm.merge(*_plan_moments(vals, plan, xs))
+            fold(tm, i * step, xs, tail_b, out)
     tm = TermMoments(m=m, theta=theta, count=count, m2=tiles[0].m2,
                      mean=np.concatenate([t.mean for t in tiles]),
                      m2_diag=np.concatenate([t.m2_diag for t in tiles]))
@@ -438,17 +436,21 @@ def _table(grid: np.ndarray, base, moments: list[TermMoments], n_used: int,
 
 
 def estimate_parametric_integral(g, nu: MeasureSampler, x_domain: DomainSpec,
-                                 t_grid, n: int, seed: int,
-                                 collect_covariance: bool = False) -> EstimateTable:
-    """Dependent-trial estimate of I(t) = int g(t,x) nu(dx): one stream of
-    n draws, reused for every t."""
+                                 t_grid, n: int, seed: int, collect_covariance: bool = False,
+                                 weight: Optional[Callable] = None) -> EstimateTable:
+    """Dependent-trial estimate of I(t) = int g(t,x) weight(x) nu(dx) (no
+    weight if None): one stream of n draws, reused for every t.  The
+    weight is the runner's tail of a one-point chain, 1 * weight(x), so
+    with g = K and weight = f this is the first Neumann term S[f], and a
+    g with ``factors()`` takes the factored path."""
     if n < 2:
         raise ValueError("need n >= 2 draws")
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
+    tail = None if weight is None else functools.partial(_chain_tail, None, weight)
     tm = _run_term(n, 1, grid, substream(seed, TAG_INTEGRAL), nu, x_domain, g,
-                   _first_factors(g, grid, x_domain), None, 1.0, collect_covariance)
+                   _first_factors(g, grid, x_domain), tail, 1.0, collect_covariance)
     return _table(grid, 0.0, [tm], n * x_domain.dim, seed, "integral", collect_covariance)
 
 

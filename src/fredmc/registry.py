@@ -24,12 +24,12 @@ from .problem import DomainSpec, MeasureSampler, Metric, ProblemSpec, gauss_lege
 KERNEL_NAMES = ("constant", "separable-poly", "gauss-conv", "custom")
 
 
-def _horner(x, coeffs: Sequence[float], out=None):
+def _horner(x, coeffs: Sequence[float]):
     """``P.polyval(x, coeffs)`` for float coefficients (low->high), evaluated
-    in one output array (``out`` if given): numpy's Horner steps
-    c0 = c[-1] + x * 0, then c0 = c[k] + c0 * x, in the same order and hence
-    to the same bits, but without a new array per coefficient."""
-    out = np.multiply(x, 0.0, out=out, dtype=float)
+    in one output array: numpy's Horner steps c0 = c[-1] + x * 0, then
+    c0 = c[k] + c0 * x, in the same order and hence to the same bits, but
+    without a new array per coefficient."""
+    out = np.multiply(x, 0.0, dtype=float)
     out += coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= x
@@ -344,9 +344,7 @@ class GaussFactor:
     e^(-kappa |u|^2) u^alpha, shape (..., r); side "dt" (1-D) gives the
     t-derivative of side "t".  ``gamma`` (p weights, sides "t" and "dt")
     comes from ``_cheb_gamma``.  Rows come from the recurrence
-    P_alpha+e_i = P_alpha * u_i, not powers.  Side "s" also fills w * B(x)
-    into a given (r, ...) array, w folded into the exponential row before
-    the recurrence.
+    P_alpha+e_i = P_alpha * u_i, not powers.
     """
 
     kappa: float
@@ -356,14 +354,12 @@ class GaussFactor:
     scale: float = 1.0
     gamma: tuple[float, ...] = ()
 
-    def _rows(self, x, p: int, weighted: bool, out=None, w=None) -> np.ndarray:
+    def _rows(self, x, p: int, weighted: bool) -> np.ndarray:
         u = np.asarray(x, dtype=float) - np.asarray(self.centre)
         cols = [np.ascontiguousarray(u[..., i]) for i in range(u.shape[-1])]
         steps = _monomial_steps(len(cols), p)
-        rows = np.empty((len(steps) + 1,) + u.shape[:-1]) if out is None else out
+        rows = np.empty((len(steps) + 1,) + u.shape[:-1])
         np.exp(-self.kappa * np.sum(u * u, axis=-1), out=rows[0])
-        if w is not None:
-            rows[0] *= w
         for k, (parent, axis, power) in enumerate(steps, 1):
             np.multiply(rows[parent], cols[axis], out=rows[k])
             if weighted:
@@ -383,10 +379,6 @@ class GaussFactor:
         dim = len(self.centre)  # degree k has comb(k + dim - 1, k) monomials
         weights = np.repeat(self.gamma, [math.comb(k + dim - 1, k) for k in range(self.p)])
         return np.moveaxis(q, 0, -1) * (self.scale * weights)
-
-    def fill(self, x, w, out) -> None:
-        """out[...] = w * B(x), out of shape (r, n); side "s" only."""
-        self._rows(x, self.p, False, out, w)
 
     def power_plan(self) -> PowerPlan:
         """The runner's plan for blocks of W = w * B(x); side "s" only
@@ -435,11 +427,6 @@ class PolyFunc:
         x = np.asarray(x)
         return _horner(x[..., 0], self.coeffs)
 
-    def fill(self, x, w, out) -> None:
-        """out[...] = poly(x) * w, Horner run in ``out``."""
-        _horner(np.asarray(x)[..., 0], self.coeffs, out=out)
-        out *= w
-
 
 @dataclass(frozen=True)
 class ConstFunc:
@@ -448,10 +435,6 @@ class ConstFunc:
     def __call__(self, x):
         x = np.asarray(x)
         return np.full(x.shape[:-1], self.value)
-
-    def fill(self, x, w, out) -> None:
-        """out[...] = value * w."""
-        np.multiply(w, self.value, out=out)
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,21 @@ def test_exit_code_band_too_wide(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0.1, 0.05])
+def test_nonpositive_chaining_majorant_is_a_config_error(tmp_path, capsys, value):
+    # a small forcing makes psi < 1 on the solution profile, so v* < 0 and
+    # Zbar = sigma + 9 int v* is negative (-3.3 and -11.5): the band refuses
+    # it by name instead of taking its logarithm
+    problem = {"name": "gauss-conv", "scale": 0.4, "kappa": 2.0,
+               "forcing": {"kind": "const", "value": value}}
+    path = _write_config(tmp_path, problem=problem, band_method="nonasymptotic-psi", budget=10_000,
+                         grid=101, out_dir=str(tmp_path / "zbar"))
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the chaining majorant Zbar = -")
+    assert "not finite and positive" in err and "math domain error" not in err
+
+
 def test_per_term_export(tmp_path):
     path = _write_config(tmp_path, export_per_term=True, out_dir=str(tmp_path / "pt"))
     assert main(["solve", "--config", str(path)]) == 0

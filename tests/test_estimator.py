@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredmc as fm
-from fredmc.cli import KernelTimesForcing, _TimesForcing
 from fredmc import estimator
 from fredmc.estimator import (BLOCK_REPLICATES, _chain_tail, _first_factors, _plan_moments, _run_term,
                               _runner_plan)
 from fredmc.problem import _ROW_CHUNK_EVALS, DomainSpec, MeasureSampler, PowerNormTable, ProblemSpec
-from fredmc.registry import (ConstFunc, GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest, _exponents,
+from fredmc.registry import (GaussConvKernelDt, PolyFunc, _cheb_gamma, _cheb_rest, _exponents,
                              _cheb_rest_dt)
 from fredmc.rng import TAG_SOLVE, substream
 
@@ -95,6 +94,25 @@ def test_parametric_integral_aborts_on_nonfinite():
                                         np.array([1.0]), 1000, seed=0)
 
 
+@pytest.mark.parametrize("problem", ["ts", "gauss"])
+@pytest.mark.parametrize("collect", [False, True])
+def test_weight_keeps_the_bits_of_the_weighted_integrand(request, problem, collect):
+    # on the general path (plain-function kernels) weight=f is the tail
+    # 1 * f(x1) of a one-point chain: the values, variances and co-moment
+    # of the integrand K(t, x) f(x) without a weight, bit for bit
+    spec = request.getfixturevalue(f"{problem}_spec")
+    k, f = spec.kernel, spec.forcing
+    grid = np.linspace(0, 1, 41)
+    a, b = (fm.estimate_parametric_integral(g, spec.mu, spec.domain, grid, 40_000, 7,
+                                            collect_covariance=collect, weight=w)
+            for g, w in ((lambda t, x: k(t, x), f), (lambda t, x: k(t, x) * f(x), None)))
+    assert a.factor_rank is None and b.factor_rank is None
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.pointwise_var, b.pointwise_var)
+    if collect:
+        assert np.array_equal(a.moments[0].m2, b.moments[0].m2)
+
+
 # ---------------------------------------------------------------------------
 # truncated-Neumann solver
 
@@ -150,8 +168,8 @@ def test_same_seed_bit_identical(ts_spec, ts_pnt):
 def _engine_on(engine, spec, pnt, grid, seed):
     n = 40_000  # more than one block of replicates for the leading terms
     if engine == "integral":
-        return fm.estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
-                                               grid, n, seed)
+        return fm.estimate_parametric_integral(spec.kernel, spec.mu, spec.domain, grid, n, seed,
+                                               weight=spec.forcing)
     if engine == "geometric":
         return fm.solve_geometric(spec, 0.5, 8, n, grid, seed, pnt=pnt)
     solver = fm.solve_fredholm_mc if engine == "solve" else fm.derivative_solve
@@ -238,8 +256,8 @@ def test_row_tiles_keep_the_bits_of_one_tile(engine, gauss2d, monkeypatch):
                 monkeypatch.setattr("fredmc.estimator._ROW_CHUNK_EVALS", len(grid) * BLOCK_REPLICATES)
             return fm.solve_geometric(spec, 0.5, 2, 2 * n, grid, seed=5, pnt=pnt)
         if engine == "integral":
-            return fm.estimate_parametric_integral(KernelTimesForcing(spec), spec.mu, spec.domain,
-                                                   grid, n, seed=5, collect_covariance=one_tile)
+            return fm.estimate_parametric_integral(spec.kernel, spec.mu, spec.domain, grid, n, seed=5,
+                                                   collect_covariance=one_tile, weight=spec.forcing)
         return fm.solve_fredholm_mc(spec, _plan(2), fm.optimal_allocation(pnt, 2, n + 5000), grid,
                                     seed=5, collect_covariance=one_tile)
 
@@ -333,8 +351,8 @@ def _factored_runs(spec, pnt, grid, n):
     runs = [lambda sp: fm.solve_fredholm_mc(sp, _plan(4), alloc, grid, 13,
                                             collect_covariance=True),
             lambda sp: fm.solve_geometric(sp, 0.5, 8, n, grid, 13, pnt=pnt),
-            lambda sp: fm.estimate_parametric_integral(KernelTimesForcing(sp), sp.mu, sp.domain,
-                                                       grid, n, 13, collect_covariance=True)]
+            lambda sp: fm.estimate_parametric_integral(sp.kernel, sp.mu, sp.domain, grid, n, 13,
+                                                       collect_covariance=True, weight=sp.forcing)]
     if spec.domain.dim == 1:
         runs.append(lambda sp: fm.derivative_solve(sp, _plan(4), alloc, grid, 13,
                                                    collect_covariance=True))
@@ -497,39 +515,6 @@ def test_runner_only_reads_the_kernel_arrays(ts_spec, ts_pnt):
         assert np.array_equal(a.pointwise_var, b.pointwise_var)
 
 
-def _fill_case(name):
-    """(t-free factor b, points x of shape (n, dim)) of one fill case."""
-    x = np.random.default_rng(4).random((1000, 2))
-    gauss1 = fm.fixture_gauss().kernel.factors()[1]
-    gauss2 = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0,
-                                             "bounds": [[0, 1], [0, 1]]}).kernel.factors()[1]
-    poly, const = PolyFunc((0.5, -1.25, 3.0)), ConstFunc(0.3)
-    return {"poly": (poly, x[:, :1]), "const": (const, x), "gauss-1d": (gauss1, x[:, :1]),
-            "gauss-2d": (gauss2, x), "times-forcing-poly": (_TimesForcing(poly, PolyFunc((1.0, -0.8))), x[:, :1]),
-            "times-forcing-const": (_TimesForcing(const, ConstFunc(2.5)), x),
-            "times-forcing-gauss": (_TimesForcing(gauss1, PolyFunc((1.0, -0.8))), x[:, :1])}[name]
-
-
-@pytest.mark.parametrize("name", ["poly", "const", "gauss-1d", "gauss-2d", "times-forcing-poly",
-                                  "times-forcing-const", "times-forcing-gauss"])
-def test_fill_writes_the_product_it_replaces(name):
-    # fill(x, w, out) writes w * b(x) into the runner's (r, n) slab: bit for
-    # bit for the polynomial, constant and forcing-weighted factors; the
-    # gauss-conv factor folds w into its exponential row before the monomial
-    # recurrence, so each entry moves by a few roundings at most
-    b, x = _fill_case(name)
-    ref_b = np.asarray(b(x), dtype=float)
-    r = 1 if ref_b.ndim == 1 else ref_b.shape[0]
-    for w in (1.0, np.random.default_rng(5).normal(size=len(x))):
-        ref = np.multiply(ref_b.reshape(r, -1), w)
-        out = np.full((r, len(x)), np.nan)
-        b.fill(x, w, out)
-        if name.startswith("gauss"):
-            np.testing.assert_allclose(out, ref, rtol=4 * r * np.finfo(float).eps, atol=0.0)
-        else:
-            assert np.array_equal(out, ref)
-
-
 @pytest.mark.parametrize("n, calls", [(1000, [11]), (3000, [5, 5, 1]), (BLOCK_REPLICATES, [1] * 11)])
 def test_chain_tail_stacks_its_links_with_the_bits_of_a_link_loop(ts_spec, gauss_spec, n, calls):
     # the 11 links of a 12-point chain on stacked pair arrays, at most
@@ -597,15 +582,16 @@ def test_factored_2d_estimate_bits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def _plan_factor(case):
-    """(t-free factor b, rank r, points x of shape (3000, dim)) of one plan case."""
+    """(t-free factor b, rank r, points x of shape (3000, dim), weight f(x))
+    of one plan case: f = 1, or for "times-forcing" the forcing f that
+    integrate mode's tail 1 * f(x1) multiplies into every row."""
     dim = 1 if case == "times-forcing" else int(case[0])
     box = np.array({1: [[0, 1]], 2: [[0, 1], [0, 1]], 3: [[-1, 0], [0, 1], [0, 2]]}[dim], dtype=float)
     b = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0 if dim < 3 else 0.02,
                                         "bounds": box.tolist()}).kernel.factors()[1]
-    if case == "times-forcing":
-        b = _TimesForcing(b, PolyFunc((1.0, -0.8)))
     x = box[:, 0] + np.random.default_rng(7).random((3000, dim)) * (box[:, 1] - box[:, 0])
-    return b, len(b(x[:1])), x
+    fx = PolyFunc((1.0, -0.8))(x) if case == "times-forcing" else 1.0
+    return b, len(b(x[:1])), x, fx
 
 
 def _plan_buffer(b, r, x, w):
@@ -623,10 +609,9 @@ def test_gram_plan_gathers_the_gram_matrix(case, rank, probes):
     # Gram matrix: with C0 = c (uncentred) the product T[y] T[l]^T gathers
     # it, from no more products per tuple than the r x (P + 1) of the probe
     # plan it replaced (P probes: the constant and the degree-(p-1) rows)
-    b, r, x = _plan_factor(case)
-    for w in (1.0, np.random.default_rng(8).normal(size=len(x))):
-        vals = np.empty((r, len(x)))
-        b.fill(x, w, vals)
+    b, r, x, fx = _plan_factor(case)
+    for w in (fx * 1.0, fx * np.random.default_rng(8).normal(size=len(x))):
+        vals = np.multiply(b(x), w)
         gram = vals @ vals.T
         plan, buf = _plan_buffer(b, r, x, w)
         assert r == rank and plan is b.power_plan() and plan.rows < r + 2
@@ -655,17 +640,16 @@ def test_plan_moments_match_the_centred_gram(case, planned):
     # the centred Gram matrix of W = w B(x), with the factor's power-sum
     # plan (which never forms W) and with the trivial plan (W filled as L)
     # alike; the diagonal is the co-moment's
-    b, r, x = _plan_factor(case)
-    w = 1.0 + 0.5 * np.random.default_rng(9).normal(size=len(x))
-    vals = np.empty((r, len(x)))
-    b.fill(x, w, vals)
+    b, r, x, fx = _plan_factor(case)
+    w = fx * (1.0 + 0.5 * np.random.default_rng(9).normal(size=len(x)))
+    vals = np.multiply(b(x), w)
     ref = vals.astype(np.longdouble)
     ref -= ref.mean(axis=1)[:, None]
     ref = ref @ ref.T
     plan, buf = _plan_buffer(b if planned else _NoPlan(b), r, x, w)
     assert (plan is b.power_plan()) == planned
     if not planned:
-        assert np.array_equal(buf[plan.l], np.multiply(np.reshape(b(x), (r, -1)), w))
+        assert np.array_equal(buf[plan.l], vals)
     nb, mean, diag, m2 = _plan_moments(buf, plan, x)
     assert nb == len(x) and np.array_equal(diag, np.diag(m2)) and np.array_equal(m2, m2.T)
     np.testing.assert_allclose(mean, vals.mean(axis=1), rtol=1e-13, atol=0.0)
