@@ -84,8 +84,8 @@ def validate_and_echo(raw: dict, echo: bool = True) -> ExperimentConfig:
 
 
 # accepted JSON types per field annotation (int fields: see _integral); a
-# bool is not taken for a number
-_FIELD_TYPES = {"float": (int, float), "str": (str,), "tuple": (list, tuple)}
+# bool is taken only for a bool field, never for a number
+_FIELD_TYPES = {"float": (int, float), "str": (str,), "tuple": (list, tuple), "bool": (bool,)}
 
 
 def _integral(name: str, value) -> int:
@@ -110,7 +110,8 @@ def _normalize(raw: dict) -> ExperimentConfig:
         value, allowed = getattr(cfg, f.name), _FIELD_TYPES.get(f.type)
         if f.type == "int" or f.type == "Optional[int]" and value is not None:
             setattr(cfg, f.name, _integral(f.name, value))
-        elif allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+        elif allowed and (not isinstance(value, allowed)
+                          or isinstance(value, bool) and bool not in allowed):
             raise ConfigError(f"{f.name} has the wrong type: {value!r}")
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}")

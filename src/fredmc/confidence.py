@@ -43,6 +43,8 @@ _TRACE_CUT = 1e-12      # trace share of the smallest eigenpairs left out of the
 _W_CONVEXITY_TOL = -1e-9
 _V_STAR_CHUNK = 128     # x values per v* evaluation: a chunk's (x, knot) arrays stay near 100 kB
 _PSI_ROWS = 8           # p rows per block of the moment profile's p x nodes power table
+P_GRID = np.geomspace(2.0, 512.0, 96)  # the p tabulation of every moment profile
+P_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -125,21 +127,15 @@ class ConfidenceBand:
         return out
 
 
-def default_p_grid(a: float = 2.0, b: float = 512.0, n: int = 96) -> np.ndarray:
-    return np.geomspace(a, b, n)
-
-
-def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
-                       weight=None) -> PsiFunction:
+def natural_psi_from_R(spec: ProblemSpec, weight=None) -> PsiFunction:
     """Moment profile of the envelope: psi(p) = (int R(x)^p mu(dx))^(1/p),
     with R replaced by |weight(x)| R(x) when a weight function is given.
 
-    Evaluated by midpoint quadrature, 2048 nodes in 1-D and 64 per axis
-    above, with max-rescaling so large p never overflows; p values whose
-    moment integral is not finite are dropped (support truncates at the
-    last finite p).
+    Evaluated on P_GRID by midpoint quadrature, 2048 nodes in 1-D and 64
+    per axis above, with max-rescaling so large p never overflows: each
+    ratio R / max R lies in [0, 1] and one equals 1, so every moment mean
+    lies in [1 / nodes, 1].
     """
-    p_grid = default_p_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
     nodes, w = spec.mu.quad_nodes(spec.domain, 2048 if spec.domain.dim == 1 else 64)
     R = np.abs(np.asarray(spec.envelope_R(nodes), dtype=float))
     if weight is not None:
@@ -148,18 +144,12 @@ def natural_psi_from_R(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None,
     if not np.isfinite(rmax) or rmax <= 0:
         raise ValueError("envelope must be positive somewhere and finite at quadrature nodes")
     ratios = R / rmax
-    vals = np.empty(len(p_grid))
-    for i in range(0, len(p_grid), _PSI_ROWS):  # a few p rows at a time: no p x nodes table
-        p = p_grid[i:i + _PSI_ROWS]
+    vals = np.empty(len(P_GRID))
+    for i in range(0, len(P_GRID), _PSI_ROWS):  # a few p rows at a time: no p x nodes table
+        p = P_GRID[i:i + _PSI_ROWS]
         vals[i:i + len(p)] = rmax * np.mean(ratios[None, :] ** p[:, None], axis=1) ** (1.0 / p)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        last = int(np.argmin(finite))
-        if last < 2:
-            raise ValueError("moment integral diverges on the whole p grid")
-        p_grid, vals = p_grid[:last], vals[:last]
-    return PsiFunction(p=p_grid, values=vals, kind="natural-from-R",
-                       support=(float(p_grid[0]), float(p_grid[-1])))
+    return PsiFunction(p=P_GRID, values=vals, kind="natural-from-R",
+                       support=(float(P_GRID[0]), float(P_GRID[-1])))
 
 
 def psi_bar(psi: PsiFunction) -> PsiFunction:
@@ -417,36 +407,31 @@ def nonasymptotic_band(psi: PsiFunction, domain: DomainSpec, metric: Metric,
 # profile builders for the two estimation pipelines
 
 
-def solution_psi(spec: ProblemSpec, alloc: BudgetAllocation,
-                 p_grid: Optional[np.ndarray] = None) -> tuple[PsiFunction, float]:
+def solution_psi(spec: ProblemSpec, alloc: BudgetAllocation) -> tuple[PsiFunction, float]:
     """Single-draw moment profile of the normalized solution error field:
 
         psi_sol(p) = 2 ||f|| sum_m theta(m)^(-1/2) psi_R(p)^m,
 
     term m's centered integrand has p-norm <= 2 ||f|| psi_R(p)^m and is
     amplified by theta(m)^(-1/2) under the sqrt(n) normalization.  The
-    uniform profile norm of the field is then <= 1.  Falls back to the
-    envelope 2 ||f|| (sum theta^(-1/2)) max(1, psi_R)^N if the sum's
-    convexity check trips.
+    uniform profile norm of the field is then <= 1.  p log psi_sol(p) is
+    convex: with u = p log psi_R (convex) and c_m = 2 ||f|| theta(m)^(-1/2),
+    it is the perspective p phi(u / p) of the convex, nondecreasing
+    phi(u) = log sum_m c_m e^(m u).
     """
-    psi_r = natural_psi_from_R(spec, p_grid)
+    psi_r = natural_psi_from_R(spec)
     weights = 1.0 / np.sqrt(np.asarray(alloc.theta, dtype=float))
     powers = np.stack([psi_r.values ** m for m in range(1, alloc.N + 1)])
     vals = 2.0 * spec.f_norm * (weights[:, None] * powers).sum(axis=0)
-    try:
-        psi = PsiFunction(p=psi_r.p, values=vals, kind="solution-profile", support=psi_r.support)
-    except ValueError:
-        env = 2.0 * spec.f_norm * weights.sum() * np.maximum(psi_r.values, 1.0) ** alloc.N
-        psi = PsiFunction(p=psi_r.p, values=env, kind="solution-profile-envelope",
-                          support=psi_r.support)
-    return psi, 1.0
+    return PsiFunction(p=psi_r.p, values=vals, kind="solution-profile",
+                       support=psi_r.support), 1.0
 
 
-def integral_psi(spec: ProblemSpec, p_grid: Optional[np.ndarray] = None) -> tuple[PsiFunction, float]:
+def integral_psi(spec: ProblemSpec) -> tuple[PsiFunction, float]:
     """Profile for the parametric-integral field: the integrand K(t, x) f(x)
     is dominated by the envelope Q(x) = |f(x)| R(x), so the centered one by
     2 Q, psi = 2 psi_Q and the field has uniform profile norm <= 1."""
-    psi_q = natural_psi_from_R(spec, p_grid, weight=spec.forcing)
+    psi_q = natural_psi_from_R(spec, weight=spec.forcing)
     return PsiFunction(p=psi_q.p, values=2.0 * psi_q.values, kind="integral-profile",
                        support=psi_q.support), 1.0
 

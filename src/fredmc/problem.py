@@ -97,7 +97,6 @@ class MeasureSampler:
 
     kind: str = "uniform-on-box"
     inverse_cdfs: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
-    seed_stream_id: int = 0
 
     def __post_init__(self):
         if self.kind not in ("uniform-on-box", "product-inverse-cdf"):
@@ -326,7 +325,7 @@ def _power_norms_mc(spec: ProblemSpec, m_max: int, which: str, n: int = 4096) ->
         k = np.abs(np.asarray(spec.kernel(t, s), dtype=float))
         return np.square(k, out=k) if which == "U" else k
 
-    rng, grid = substream(spec.mu.seed_stream_id, TAG_NORM_MC), spec.domain.grid()
+    rng, grid = substream(0, TAG_NORM_MC), spec.domain.grid()
     tail = functools.partial(_chain_tail, abs_kernel, None)
     return np.array([np.max(_run_term(n, m, grid, rng, spec.mu, spec.domain, abs_kernel, None, tail,
                                       1.0, False).mean) for m in range(1, m_max + 1)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -33,26 +34,55 @@ def test_natural_psi_constant_envelope(const_spec):
 
 
 def test_natural_psi_linear_envelope(ts_spec):
-    # R(x) = x on [0,1]: (int x^p)^{1/p} = (p+1)^{-1/p}
-    psi = fm.natural_psi_from_R(ts_spec, np.geomspace(1.0, 64.0, 64))
-    ps = np.array([1.0, 2.0, 8.0, 64.0])
-    assert np.allclose(psi(ps), (ps + 1) ** (-1 / ps), rtol=1e-4)
-    assert psi(np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-6)
+    # R(x) = x on [0,1]: (int x^p)^{1/p} = (p+1)^{-1/p}, at every p of the fixed grid
+    psi = fm.natural_psi_from_R(ts_spec)
+    ps = confidence.P_GRID
+    assert psi.support == (2.0, 512.0)
+    assert np.array_equal(psi.p, ps)
+    assert np.allclose(psi.values, (ps + 1) ** (-1 / ps), rtol=1e-4)
 
 
 @pytest.mark.parametrize("bounds", [[[0, 1]], [[0, 1], [0, 1]]], ids=["1d", "2d"])
-def test_natural_psi_in_row_blocks_keeps_the_bits_of_one_table(bounds):
+def test_natural_psi_in_row_blocks_keeps_the_bits_of_one_table(bounds, monkeypatch):
     # the profile is formed a few p rows at a time; each row is the one-shot table's
     spec = fm.build_problem("gauss-conv", {"scale": 0.4, "kappa": 2.0, "bounds": bounds})
-    p_grid = confidence.default_p_grid()
+    p_grid = confidence.P_GRID
     nodes, _ = spec.mu.quad_nodes(spec.domain, 2048 if spec.domain.dim == 1 else 64)
     R = np.abs(np.asarray(spec.envelope_R(nodes), dtype=float))
     rmax = float(R.max())
     ref = rmax * np.mean((R / rmax)[None, :] ** p_grid[:, None], axis=1) ** (1.0 / p_grid)
     assert len(p_grid) % confidence._PSI_ROWS == 0 and len(p_grid) > confidence._PSI_ROWS
-    assert np.array_equal(fm.natural_psi_from_R(spec, p_grid).values, ref)
-    odd = p_grid[:confidence._PSI_ROWS + 3]  # a last block shorter than the others
-    assert np.array_equal(fm.natural_psi_from_R(spec, odd).values, ref[:len(odd)])
+    assert np.array_equal(fm.natural_psi_from_R(spec).values, ref)
+    monkeypatch.setattr(confidence, "_PSI_ROWS", 11)  # a last block shorter than the others
+    assert len(p_grid) % confidence._PSI_ROWS != 0
+    assert np.array_equal(fm.natural_psi_from_R(spec).values, ref)
+
+
+_ENVELOPES = {  # R(x) on [0, 1] up to its scale, with a shape parameter a in [0.05, 1]
+    "constant": lambda x, a: np.ones(len(x)),
+    "polynomial": lambda x, a: np.abs(x[:, 0]) ** (8.0 * a),
+    "gaussian-spike": lambda x, a: np.exp(-((x[:, 0] - a) / 1e-2) ** 2),
+    "near-constant": lambda x, a: 1.0 + 1e-9 * a * x[:, 0],
+    "step": lambda x, a: np.where(x[:, 0] < a, 1.0, 1e-3),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_ENVELOPES)), a=st.floats(0.05, 1.0),
+       log_scale=st.floats(-6.0, 6.0),
+       theta=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+def test_solution_profile_is_admissible_on_random_envelopes(ts_spec, ts_pnt, kind, a, log_scale,
+                                                            theta):
+    # p log psi_sol is the perspective p phi(u / p) of the convex, nondecreasing
+    # phi(u) = log sum_m c_m e^(m u) at the convex u = p log psi_R: the sum is admissible
+    scale = 10.0 ** log_scale
+    spec = dataclasses.replace(ts_spec, envelope_R=lambda x: scale * _ENVELOPES[kind](x, a))
+    theta = np.array(theta) / np.sum(theta)
+    alloc = dataclasses.replace(fm.optimal_allocation(ts_pnt, 3, 1000), N=len(theta), theta=theta)
+    psi, sigma = solution_psi(spec, alloc)
+    assert psi.kind == "solution-profile" and sigma == 1.0
+    w = psi.p * np.log(psi.values)
+    assert np.all(np.diff(np.diff(w) / np.diff(psi.p)) >= -1e-11)
 
 
 def test_psi_requires_convex_w():
